@@ -34,7 +34,6 @@ from .spectral import (
     SpectralField,
     dft_forward,
     embed,
-    interpolate,
     l2_norm,
     l2h_norm,
     project,
@@ -42,14 +41,6 @@ from .spectral import (
     sobolev_norm,
     synthesize,
 )
-from .splitting import (
-    BlowupError,
-    SchemeParams,
-    SolverState,
-    evolve,
-    free_flow,
-    lie_step,
-    nonlinear_phase,
-)
+from .splitting import BlowupError, SchemeParams, evolve, free_flow
 
 __version__ = "0.1.0"

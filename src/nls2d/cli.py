@@ -133,10 +133,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_reference(args: argparse.Namespace) -> int:
     spec = RoughDataSpec(s=args.s, seed=args.seed, n_modes=args.grid_reference,
                          eps=args.eps, target_l2=args.target_l2)
-    field = harness.compute_reference(spec, args.tau_ref, args.T, args.mu, args.cache)
-    theta = 4.0 / (args.grid_reference**2)
-    key = harness._reference_key(spec, args.tau_ref, args.T, args.mu, theta, None)
-    path = harness.reference_cache_path(args.cache, key)
+    field, path = harness.compute_reference(spec, args.tau_ref, args.T, args.mu, args.cache)
     print(f"reference cached at {path} (l2={l2_norm(field):.6g})")
     return EXIT_OK
 

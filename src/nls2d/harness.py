@@ -231,9 +231,9 @@ class OrderFit:
 
 def _reference_key(
     spec: RoughDataSpec, tau_ref: float, t_final: float, mu: int, theta: float,
-    datum_digest: str | None,
+    datum_digest: str,
 ) -> str:
-    parts = [
+    return "|".join([
         f"scheme={SCHEME_VERSION}",
         f"s={float(spec.s).hex()}",
         f"eps={float(spec.eps).hex()}",
@@ -244,10 +244,8 @@ def _reference_key(
         f"T={float(t_final).hex()}",
         f"mu={mu}",
         f"theta={float(theta).hex()}",
-    ]
-    if datum_digest is not None:
-        parts.append(f"datum={datum_digest}")
-    return "|".join(parts)
+        f"datum={datum_digest}",
+    ])
 
 
 def reference_cache_path(cache_dir: str | Path, key: str) -> Path:
@@ -282,32 +280,31 @@ def compute_reference(
     cache_dir: str | Path | None = None,
     datum: SpectralField | None = None,
     theta: float | None = None,
-) -> SpectralField:
+) -> tuple[SpectralField, Path | None]:
     """Reference solution at the datum's resolution, cached on disk.
 
     The reference runs the same integrator with the filter held at the
     lattice identity (``theta = 4/K^2``) unless overridden.  Cache entries
-    are keyed by the full recipe (datum spec, step, horizon, sign, filter,
-    integrator version) and carry a payload checksum; corrupt or mismatched
-    entries are recomputed with a warning.  ``datum`` substitutes an
-    explicit initial field for the generated one (validation runs).
+    are keyed by the full recipe (datum spec, digest of the evolved datum,
+    step, horizon, sign, filter, integrator version) and carry a payload
+    checksum; corrupt or mismatched entries are recomputed with a warning.
+    ``datum`` substitutes an explicit initial field for the generated one
+    (validation runs).
+
+    Returns the reference and its cache path (None without ``cache_dir``).
     """
-    n = spec.n_modes if datum is None else datum.n_modes
+    u0 = generate(spec) if datum is None else datum
+    n = u0.n_modes
     if theta is None:
         theta = 4.0 / (n * n)
-    digest = None
-    if datum is not None:
-        digest = hashlib.sha256(
-            np.ascontiguousarray(datum.coeffs, dtype="<c16").tobytes()
-        ).hexdigest()
+    digest = hashlib.sha256(np.ascontiguousarray(u0.coeffs, dtype="<c16").tobytes()).hexdigest()
     key = _reference_key(spec, tau_ref, t_final, mu, theta, digest)
     path = None
     if cache_dir is not None:
         path = reference_cache_path(cache_dir, key)
         cached = _try_load_reference(path, key)
         if cached is not None:
-            return cached
-    u0 = generate(spec) if datum is None else datum
+            return cached, path
     params = SchemeParams(tau=tau_ref, n_modes=n, mu=mu, t_final=t_final, theta=theta)
     final = evolve(u0, params)
     if path is not None:
@@ -315,7 +312,7 @@ def compute_reference(
         snapshot.save_field(final, path)
         meta = {"key": key, "payload_sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
         path.with_suffix(".json").write_text(json.dumps(meta, indent=2))
-    return final
+    return final, path
 
 
 def l2_error(coarse: SpectralField, reference: SpectralField) -> float:
@@ -386,17 +383,28 @@ def _run_one(
     return ConvergenceRecord(s, tau, n, theta, seed, err, wall)
 
 
+def _drop_torn_row(path: Path) -> None:
+    """Truncate the file after its last newline, dropping a half-written row."""
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        fh.truncate(data.rfind(b"\n") + 1)
+
+
 def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     """Execute (or resume) the sweep; returns all records, sorted.
 
     Rows are appended to ``records.csv`` as they complete, keyed by
     (s, tau, seed); rerunning with the same config skips completed rows,
-    including failed ones.  On completion the file is rewritten in sorted
+    including failed ones.  A row torn by an interrupted write is dropped
+    and recomputed.  On completion the file is rewritten in sorted
     order and the plot data files are refreshed.
     """
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     records_path = cfg.output_dir / "records.csv"
-    existing = read_records(records_path) if records_path.exists() else []
+    existing = []
+    if records_path.exists():
+        _drop_torn_row(records_path)
+        existing = read_records(records_path)
     done = {rec.key for rec in existing}
 
     pairs = [(s, seed) for s in cfg.s_values for seed in cfg.seeds]
@@ -427,7 +435,7 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
                 )
                 for s, seed in needed_pairs
             }
-            refs = {key: fut.result() for key, fut in ref_futures.items()}
+            refs = {key: fut.result()[0] for key, fut in ref_futures.items()}
 
             def job(s: float, seed: int, tau: float) -> ConvergenceRecord:
                 rec = _run_one(cfg, s, seed, tau, data[(s, seed)], refs[(s, seed)])

@@ -30,7 +30,6 @@ __all__ = [
     "CutoffSpec",
     "mode_values",
     "dft_forward",
-    "interpolate",
     "synthesize",
     "project",
     "embed",
@@ -132,8 +131,9 @@ def dft_forward(grid: GridField) -> SpectralField:
 
     Computes ``sum_{j,l} v_{jl} exp(-2*pi*i*(k1*j + k2*l)/N) / N**2`` for
     every mode k on the centered lattice.  The result is the coefficient
-    array of the unique band-limited field matching the samples at all
-    grid nodes (see :func:`interpolate`).
+    array of the trigonometric interpolant: the unique field supported on
+    the N-mode lattice whose synthesis reproduces the samples at every
+    collocation node.
 
     Parameters
     ----------
@@ -148,16 +148,6 @@ def dft_forward(grid: GridField) -> SpectralField:
     n = grid.n_points
     raw = np.fft.fft2(np.fft.ifftshift(grid.values))
     return SpectralField(n, np.fft.fftshift(raw) / (n * n))
-
-
-def interpolate(grid: GridField) -> SpectralField:
-    """Trigonometric interpolant of grid samples.
-
-    Identical to :func:`dft_forward`: the returned field is the unique one
-    supported on the N-mode lattice whose synthesis reproduces the samples
-    at every collocation node.
-    """
-    return dft_forward(grid)
 
 
 def synthesize(f: SpectralField, n_points: int | None = None) -> GridField:

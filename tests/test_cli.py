@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import nls2d.harness as harness
 from nls2d.cli import EXIT_BLOWUP, EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from nls2d.roughdata import RoughDataSpec, generate
 from nls2d.snapshot import load_field, save_field
@@ -105,6 +106,21 @@ class TestReference:
         cached = list(cache.glob("ref_*.nls2"))
         assert len(cached) == 1
         assert str(cached[0]) in out
+
+    def test_converge_reuses_cli_reference(self, tmp_path, monkeypatch):
+        """References built by ``nls2d reference`` are cache hits for ``converge``."""
+        cache = tmp_path / "cache"
+        for seed in ("1", "2"):
+            assert main(["reference", "--s", "2.0", "--seed", seed, "--K", "32",
+                         "--tau-ref", "2^-10", "--T", "0.25", "--cache", str(cache)]) == EXIT_OK
+        lattices = []
+        real = harness.evolve
+        monkeypatch.setattr(harness, "evolve",
+                            lambda u0, p, **k: lattices.append(p.n_modes) or real(u0, p, **k))
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(TestConverge.CONFIG.format(out=tmp_path / "out", cache=cache))
+        assert main(["converge", "--config", str(cfg)]) == EXIT_OK
+        assert len(lattices) == 6 and 32 not in lattices
 
 
 class TestConverge:

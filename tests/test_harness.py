@@ -162,28 +162,29 @@ class TestReference:
     def test_plane_wave_datum_override(self):
         """With a plane-wave datum the reference matches the closed form."""
         datum = plane_wave(16, 0.1, (1, 2))
-        got = compute_reference(self.SPEC, 2.0**-6, 0.25, mu=-1, datum=datum)
+        got, _ = compute_reference(self.SPEC, 2.0**-6, 0.25, mu=-1, datum=datum)
         want = plane_wave_solution(0.1, (1, 2), -1, 0.25)
         err = np.abs(got.coeffs - plane_wave(16, want, (1, 2)).coeffs).max()
         assert err <= 1e-10
 
     def test_cache_round_trip_and_no_recompute(self, tmp_path, monkeypatch):
-        first = compute_reference(self.SPEC, 2.0**-6, 0.25, cache_dir=tmp_path)
+        first, path = compute_reference(self.SPEC, 2.0**-6, 0.25, cache_dir=tmp_path)
         calls = []
         real = harness.evolve
         monkeypatch.setattr(harness, "evolve", lambda *a, **k: calls.append(1) or real(*a, **k))
-        second = compute_reference(self.SPEC, 2.0**-6, 0.25, cache_dir=tmp_path)
+        second, again = compute_reference(self.SPEC, 2.0**-6, 0.25, cache_dir=tmp_path)
         assert calls == []
         assert np.array_equal(first.coeffs, second.coeffs)
+        assert again == path and path.exists()
 
     def test_corrupt_payload_recomputed(self, tmp_path, caplog):
-        first = compute_reference(self.SPEC, 2.0**-6, 0.25, cache_dir=tmp_path)
+        first, _ = compute_reference(self.SPEC, 2.0**-6, 0.25, cache_dir=tmp_path)
         path = next(tmp_path.glob("ref_*.nls2"))
         blob = bytearray(path.read_bytes())
         blob[100] ^= 0xFF
         path.write_bytes(bytes(blob))
         with caplog.at_level(logging.WARNING, logger="nls2d.harness"):
-            second = compute_reference(self.SPEC, 2.0**-6, 0.25, cache_dir=tmp_path)
+            second, _ = compute_reference(self.SPEC, 2.0**-6, 0.25, cache_dir=tmp_path)
         assert any("corrupt" in r.message for r in caplog.records)
         assert np.array_equal(first.coeffs, second.coeffs)
 
@@ -206,8 +207,8 @@ class TestReference:
         solution)."""
         spec = RoughDataSpec(s=2.0, seed=1, n_modes=32)
         datum = generate(spec)
-        ref_a = compute_reference(spec, 2.0**-10, 0.125, datum=datum)
-        ref_b = compute_reference(spec, 2.0**-11, 0.125, datum=datum)
+        ref_a, _ = compute_reference(spec, 2.0**-10, 0.125, datum=datum)
+        ref_b, _ = compute_reference(spec, 2.0**-11, 0.125, datum=datum)
         drift = l2_error(ref_a, ref_b)
 
         n = grid_for_tau(2.0**-6)
@@ -225,7 +226,7 @@ class TestReference:
         assert grid_for_tau(tau) == 16
         theta = default_theta(tau, 16)
         assert theta == 4.0 / 16**2 == tau
-        ref = compute_reference(spec, tau, 0.25, datum=datum)
+        ref, _ = compute_reference(spec, tau, 0.25, datum=datum)
         final = evolve(coarse_datum(datum, theta, 16),
                        SchemeParams(tau=tau, n_modes=16, mu=-1, t_final=0.25))
         assert l2_error(final, ref) == 0.0
@@ -293,6 +294,21 @@ class TestRunStudy:
         redone = next(r for r in resumed if r.key == gap)
         original = next(r for r in records if r.key == gap)
         assert redone.l2_error == original.l2_error
+
+    def test_torn_last_row_recomputed(self, mini_study, monkeypatch):
+        """A row cut short by a kill mid-write is dropped and redone alone."""
+        cfg, records = mini_study
+        path = cfg.output_dir / "records.csv"
+        text = path.read_bytes()
+        last_row = text.rstrip(b"\r\n").rfind(b"\n") + 1
+        path.write_bytes(text[: last_row + 10])
+        calls = []
+        real = harness.evolve
+        monkeypatch.setattr(harness, "evolve", lambda *a, **k: calls.append(1) or real(*a, **k))
+        resumed = run_study(cfg)
+        assert len(calls) == 1  # the torn row; the reference came from cache
+        assert [r.key for r in resumed] == [r.key for r in records]
+        assert [r.l2_error for r in resumed] == [r.l2_error for r in records]
 
     def test_reference_sensitivity_writes_subdirs(self, mini_study):
         cfg, records = mini_study

@@ -10,7 +10,6 @@ from nls2d.spectral import (
     SpectralField,
     dft_forward,
     embed,
-    interpolate,
     l2_norm,
     l2h_norm,
     mode_values,
@@ -131,14 +130,10 @@ class TestForwardTransform:
             rhs = (n * n) * l2h_norm(g)
             assert abs(lhs - rhs) <= 1e-12 * rhs
 
-    def test_interpolate_is_forward_transform(self):
-        g = random_grid(8)
-        assert np.array_equal(interpolate(g).coeffs, dft_forward(g).coeffs)
-
     def test_interpolant_matches_samples(self):
         """Synthesizing the interpolant reproduces the samples."""
         g = random_grid(8)
-        back = synthesize(interpolate(g))
+        back = synthesize(dft_forward(g))
         assert np.abs(back.values - g.values).max() <= 1e-13
 
 
@@ -167,7 +162,7 @@ class TestSynthesize:
 
     def test_round_trip(self):
         f = random_field(16)
-        back = interpolate(synthesize(f))
+        back = dft_forward(synthesize(f))
         assert np.abs(back.coeffs - f.coeffs).max() <= 1e-13
 
 

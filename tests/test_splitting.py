@@ -1,10 +1,16 @@
 """Tests for the filtered Lie splitting integrator."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nls2d
 from nls2d.spectral import (
     CutoffSpec,
     SpectralField,
@@ -15,20 +21,46 @@ from nls2d.spectral import (
 from nls2d.splitting import (
     BlowupError,
     SchemeParams,
-    SolverState,
     default_theta,
     evolve,
     free_flow,
-    lie_step,
-    nonlinear_phase,
     snapshot_observer,
 )
 from nls2d.roughdata import RoughDataSpec, generate
 from nls2d.snapshot import load_field
 
-from oracles import plane_wave, plane_wave_solution
+from oracles import composed_lie_step, nonlinear_phase, plane_wave, plane_wave_solution
 
 RNG = np.random.default_rng(4711)
+
+# Two 256^2 runs on a 2-thread pool, lined up by a barrier in their step-0
+# observer, then the same runs serially; prints whether the bits agree.  The
+# pooled runs are the first in the process, so every cache starts cold, and
+# a short switch interval makes the two threads interleave finely.
+COLD_START_SCRIPT = textwrap.dedent("""
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    import numpy as np
+
+    from nls2d.roughdata import RoughDataSpec, generate
+    from nls2d.splitting import SchemeParams, evolve
+
+    n, tau = 256, 2.0**-14
+    params = SchemeParams(tau=tau, n_modes=n, mu=-1, t_final=8 * tau)
+    data = [generate(RoughDataSpec(s=1.0, seed=seed, n_modes=n)) for seed in (1, 2)]
+    barrier = threading.Barrier(2, timeout=60)
+    sys.setswitchinterval(1e-5)
+
+    def run(u0):
+        return evolve(u0, params, observer=lambda i, f: i == 0 and barrier.wait())
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        pooled = list(pool.map(run, data))
+    serial = [evolve(u0, params) for u0 in data]
+    print(all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(pooled, serial)))
+""")
 
 
 def random_field(n: int) -> SpectralField:
@@ -72,11 +104,6 @@ class TestSchemeParams:
             SchemeParams(tau=0.5, n_modes=8, mu=-1, t_final=-1.0)
         with pytest.raises(ValueError, match="theta"):
             SchemeParams(tau=0.5, n_modes=8, mu=-1, t_final=1.0, theta=-0.1)
-
-    def test_state_lattice_mismatch(self):
-        p = SchemeParams(tau=0.5, n_modes=8, mu=-1, t_final=1.0)
-        with pytest.raises(ValueError, match="lattice"):
-            SolverState(0, random_field(16), p)
 
 
 class TestFreeFlow:
@@ -128,40 +155,59 @@ class TestNonlinearPhase:
 
 
 class TestLieStep:
+    """Single steps of ``evolve`` (``t_final`` a small multiple of tau)."""
+
     def test_constant_datum_exact(self):
         """Spatially constant data evolves by a pure phase, exactly."""
         n, tau, mu, a = 16, 2.0**-5, 1, 0.7 + 0.1j
-        p = SchemeParams(tau=tau, n_modes=n, mu=mu, t_final=1.0)
-        state = SolverState(0, plane_wave(n, a, (0, 0)), p)
-        for _ in range(8):
-            state = lie_step(state)
-        got = state.field.coeffs[n // 2, n // 2]
+        p = SchemeParams(tau=tau, n_modes=n, mu=mu, t_final=8 * tau)
+        steps = []
+        out = evolve(plane_wave(n, a, (0, 0)), p, observer=lambda i, f: steps.append(i))
+        got = out.coeffs[n // 2, n // 2]
         want = a * np.exp(1j * mu * 8 * tau * abs(a) ** 2)
         assert abs(got - want) <= 1e-13
-        assert state.step_index == 8
+        assert steps[-1] == 8
 
     def test_plane_wave_one_step(self):
         """Single-mode data gains exp(i*(mu*|a|^2 - |k|^2)*tau) per step."""
         n, tau, mu, a, k = 16, 2.0**-4, -1, 0.25, (1, 2)
-        p = SchemeParams(tau=tau, n_modes=n, mu=mu, t_final=1.0)
-        out = lie_step(SolverState(0, plane_wave(n, a, k), p))
-        got = out.field.coeffs[n // 2 + k[0], n // 2 + k[1]]
+        p = SchemeParams(tau=tau, n_modes=n, mu=mu, t_final=tau)
+        out = evolve(plane_wave(n, a, k), p)
+        got = out.coeffs[n // 2 + k[0], n // 2 + k[1]]
         assert abs(got - plane_wave_solution(a, k, mu, tau)) <= 1e-14
 
     def test_filter_invariance(self):
         """The output field is invariant under the step's own filter."""
         n = 16
-        p = SchemeParams(tau=2.0**-3, n_modes=n, mu=-1, t_final=1.0)
-        state = SolverState(0, project(random_field(n), p.cutoff), p)
-        out = lie_step(state).field
+        p = SchemeParams(tau=2.0**-3, n_modes=n, mu=-1, t_final=2.0**-3)
+        out = evolve(project(random_field(n), p.cutoff), p)
         assert np.array_equal(project(out, p.cutoff).coeffs, out.coeffs)
 
     def test_zero_field_fixed_point(self):
         n = 8
-        p = SchemeParams(tau=0.5, n_modes=n, mu=1, t_final=1.0)
+        p = SchemeParams(tau=0.5, n_modes=n, mu=1, t_final=0.5)
         z = SpectralField(n, np.zeros((n, n), dtype=complex))
-        out = lie_step(SolverState(0, z, p)).field
+        out = evolve(z, p)
         assert np.abs(out.coeffs).max() == 0.0
+
+
+class TestComposedOracle:
+    """``evolve`` against the stage-by-stage composition of the step."""
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("truncating", [False, True], ids=["identity", "truncating"])
+    def test_matches_composed_steps(self, n, truncating):
+        """300 steps agree with 300 composed steps to 1e-13 relative."""
+        steps, tau = 300, 1.0 / n**2
+        theta = 64.0 / n**2 if truncating else 4.0 / n**2  # cutoff N/8 or the identity
+        p = SchemeParams(tau=tau, n_modes=n, mu=1, t_final=steps * tau, theta=theta)
+        u0 = generate(RoughDataSpec(s=1.0, seed=n, n_modes=n, target_l2=2.0 * np.pi))
+        want = project(u0, p.cutoff)
+        for _ in range(steps):
+            want = composed_lie_step(want, p)
+        got = evolve(u0, p)
+        diff = l2_norm(SpectralField(n, got.coeffs - want.coeffs))
+        assert diff <= 1e-13 * l2_norm(want)
 
 
 class TestEvolve:
@@ -230,6 +276,11 @@ class TestEvolve:
         evolve(u0, p, observer=lambda i, f: steps.append(i), observer_every=4)
         assert steps == [0, 4, 8, 10]
 
+    def test_lattice_mismatch_rejected(self):
+        p = SchemeParams(tau=0.5, n_modes=8, mu=-1, t_final=1.0)
+        with pytest.raises(ValueError, match="lattice"):
+            evolve(random_field(16), p)
+
     def test_observer_stride_validated(self):
         p = SchemeParams(tau=0.5, n_modes=8, mu=-1, t_final=1.0)
         with pytest.raises(ValueError, match="observer_every"):
@@ -261,6 +312,17 @@ class TestEvolve:
             with pytest.raises(BlowupError, match="step 0") as info:
                 evolve(u0, p)
         assert info.value.step == 0
+
+    def test_concurrent_cold_start_bits(self):
+        """Concurrent first runs in a fresh process match serial runs bit for bit."""
+        env = dict(os.environ)
+        src = str(Path(nls2d.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for _ in range(3):
+            proc = subprocess.run([sys.executable, "-c", COLD_START_SCRIPT],
+                                  capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == "True"
 
     def test_snapshot_observer_files(self, tmp_path):
         """The file observer writes loadable per-step snapshots."""
