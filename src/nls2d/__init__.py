@@ -8,7 +8,6 @@ estimate probes), :mod:`nls2d.harness` (convergence studies), and
 """
 
 from .bourgain import (
-    BourgainParams,
     Trajectory,
     bourgain_norm,
     estimate_probe,

@@ -22,10 +22,11 @@ l2-in-time, L2-in-space norm ``(tau * sum_m l2_norm(u_m)**2)**0.5``.  The
 weights are >= 1 and increasing in both s and b, so the norm is monotone in
 (s, b); it is absolutely 1-homogeneous in the trajectory.
 
-Window length matters: the zero extension introduces edge transitions whose
-weighted content grows with b, so comparisons across window lengths are
-only meaningful at fixed M.  All probe sweeps here hold M fixed while tau
-varies.
+The transform window is the trajectory length M; to extend the window by
+zeros, append zero snapshots to the trajectory.  Window length matters:
+the zero extension introduces edge transitions whose weighted content
+grows with b, so comparisons across window lengths are only meaningful at
+fixed M.  All probe sweeps here hold M fixed while tau varies.
 """
 
 from __future__ import annotations
@@ -51,11 +52,9 @@ from .splitting import free_flow
 
 __all__ = [
     "Trajectory",
-    "BourgainParams",
     "TimeSpaceTransform",
     "time_space_transform",
     "bourgain_norm",
-    "bourgain_norm_twisted",
     "trajectory_l2",
     "trajectory_sup_sobolev",
     "trajectory_l4",
@@ -100,24 +99,6 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class BourgainParams:
-    """Norm exponents (s, b) and an optional window override.
-
-    ``window`` extends the transform window beyond the trajectory length
-    (zero extension); it defaults to the trajectory length and may not be
-    shorter.
-    """
-
-    s: float
-    b: float
-    window: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.window is not None and self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-
-
-@dataclass(frozen=True)
 class TimeSpaceTransform:
     """Sampled transform values with their frequency grids."""
 
@@ -131,17 +112,14 @@ def _sigma_grid(window: int, tau: float) -> np.ndarray:
     return 2.0 * np.pi * m / (window * tau)
 
 
-def time_space_transform(tr: Trajectory, window: int | None = None) -> TimeSpaceTransform:
-    """Transform a zero-extended trajectory onto its sigma grid.
+def time_space_transform(tr: Trajectory) -> TimeSpaceTransform:
+    """Transform a trajectory onto its sigma grid; the window is ``len(tr)``.
 
     Exact on the grid: circularly shifting the snapshots multiplies the
     samples by ``exp(i*tau*sigma)`` per step, and a single-snapshot
     trajectory transforms to the constant ``tau * c_0(k)`` in sigma.
     """
-    m_traj = len(tr)
-    window = m_traj if window is None else window
-    if window < m_traj:
-        raise ValueError(f"window {window} shorter than trajectory length {m_traj}")
+    window = len(tr)
     n = tr.n_modes
     stack = np.zeros((window, n, n), dtype=np.complex128)
     for i, f in enumerate(tr.fields):
@@ -150,46 +128,22 @@ def time_space_transform(tr: Trajectory, window: int | None = None) -> TimeSpace
     return TimeSpaceTransform(tr.tau, _sigma_grid(window, tr.tau), np.fft.fftshift(vals, axes=0))
 
 
-def _weight(sigmas: np.ndarray, n_modes: int, tau: float, s: float, b: float,
-            shift_by_ksq: bool) -> np.ndarray:
-    k = mode_values(n_modes).astype(np.float64)
-    ksq = k[:, None] ** 2 + k[None, :] ** 2
-    arg = sigmas[:, None, None] - (ksq[None, :, :] if shift_by_ksq else 0.0)
-    dsq = 4.0 * np.sin(0.5 * tau * arg) ** 2 / (tau * tau)
-    return (1.0 + ksq[None, :, :]) ** s * (1.0 + dsq) ** b
-
-
-def _weighted_norm(t: TimeSpaceTransform, s: float, b: float, shift_by_ksq: bool) -> float:
-    n_modes = t.values.shape[1]
-    w = _weight(t.sigmas, n_modes, t.tau, s, b, shift_by_ksq)
-    dsigma = 2.0 * np.pi / (len(t.sigmas) * t.tau)
-    total = float(np.sum(w * (t.values.real**2 + t.values.imag**2)))
-    return float(np.sqrt(2.0 * np.pi * dsigma * total))
-
-
-def bourgain_norm(tr: Trajectory, params: BourgainParams) -> float:
-    """Weighted space-time norm of a zero-extended trajectory.
+def bourgain_norm(tr: Trajectory, s: float, b: float) -> float:
+    """Weighted space-time norm with exponents (s, b) of a zero-extended trajectory.
 
     See the module docstring for the exact quadrature.  Dispersive weight
     ``(1 + |d(sigma - |k|^2)|^2)**b`` is smallest where sigma tracks the
     free dispersion relation, so free-flow trajectories score low for b > 0.
     """
-    return _weighted_norm(time_space_transform(tr, params.window), params.s, params.b, True)
-
-
-def bourgain_norm_twisted(tr: Trajectory, params: BourgainParams) -> float:
-    """Equivalent-norm variant via the free-flow-twisted sequence.
-
-    Applies the weight ``(1 + |d(sigma)|^2)**b`` to the transform of
-    ``v_m = free_flow(u_m, -m*tau)`` (whose backward difference quotient is
-    the discrete twisted derivative).  Equivalent to :func:`bourgain_norm`
-    up to (s, b)-dependent constants, and identical at b = 0; used as a
-    cross-check, ratios are reported rather than asserted.
-    """
-    twisted = Trajectory(tr.tau, tuple(
-        free_flow(f, -m * tr.tau) for m, f in enumerate(tr.fields)
-    ))
-    return _weighted_norm(time_space_transform(twisted, params.window), params.s, params.b, False)
+    t = time_space_transform(tr)
+    k = mode_values(tr.n_modes).astype(np.float64)
+    ksq = k[:, None] ** 2 + k[None, :] ** 2
+    arg = t.sigmas[:, None, None] - ksq[None, :, :]
+    dsq = 4.0 * np.sin(0.5 * t.tau * arg) ** 2 / (t.tau * t.tau)
+    w = (1.0 + ksq[None, :, :]) ** s * (1.0 + dsq) ** b
+    dsigma = 2.0 * np.pi / (len(t.sigmas) * t.tau)
+    total = float(np.sum(w * (t.values.real**2 + t.values.imag**2)))
+    return float(np.sqrt(2.0 * np.pi * dsigma * total))
 
 
 def trajectory_l2(tr: Trajectory) -> float:
@@ -252,16 +206,15 @@ def estimate_probe(
     estimate_id: str,
     s: float = 1.0,
     b: float = 0.6,
-    cutoff_scale: float = 1.0,
 ) -> ProbeResult:
     """Measure lhs/rhs ratios of one inequality over an ensemble.
 
     ``embedding_inf_Hs`` compares the sup-in-time H^s norm against the
     (s, b) space-time norm and needs b > 1/2.  ``strichartz_l4`` compares
-    the l4-in-time L4 norm of the trajectory filtered at parameter
-    ``cutoff_scale * tau`` against the (s/2, 1-b) space-time norm.  Both
-    inequalities hold with constants independent of tau, which is what the
-    ratio statistics are meant to exercise; zero trajectories are skipped.
+    the l4-in-time L4 norm of the trajectory filtered at theta = tau
+    against the (s/2, 1-b) space-time norm.  Both inequalities hold with
+    constants independent of tau, which is what the ratio statistics are
+    meant to exercise; zero trajectories are skipped.
 
     Parameters mirror the standing exponent ranges: s > 0 and
     1/2 < b < max(3/4, 1/2 + s/4), leaving 1 - b in (1/4, 1/2).
@@ -277,12 +230,12 @@ def estimate_probe(
     for seed, tr in trajectories:
         if estimate_id == "embedding_inf_Hs":
             lhs = trajectory_sup_sobolev(tr, s)
-            rhs = bourgain_norm(tr, BourgainParams(s, b))
+            rhs = bourgain_norm(tr, s, b)
         else:
-            cut = CutoffSpec(cutoff_scale * tr.tau)
+            cut = CutoffSpec(tr.tau)
             filtered = Trajectory(tr.tau, tuple(project(f, cut) for f in tr.fields))
             lhs = trajectory_l4(filtered)
-            rhs = bourgain_norm(tr, BourgainParams(s / 2.0, 1.0 - b))
+            rhs = bourgain_norm(tr, s / 2.0, 1.0 - b)
         if rhs == 0.0:
             if lhs == 0.0:
                 skipped += 1
@@ -314,25 +267,25 @@ def probe_ensemble(
     n_modes: int,
     window: int,
     seed0: int = 0,
-    s_data: float = 1.0,
 ) -> Iterator[tuple[int, Trajectory]]:
     """Deterministic trajectory ensemble for the estimate probes.
 
-    Alternates two families: snapshot sequences of independent rough fields
-    (temporally rough) and randomly modulated free flows (temporally
-    coherent, concentrated near the dispersion relation).  Seeds derive
-    from ``seed0`` so equal arguments reproduce the ensemble exactly.
+    Alternates two families of s = 1 rough data: snapshot sequences of
+    independent rough fields (temporally rough) and randomly modulated free
+    flows (temporally coherent, concentrated near the dispersion relation).
+    Seeds derive from ``seed0`` so equal arguments reproduce the ensemble
+    exactly.
     """
     for i in range(count):
         seed = seed0 + i
         base = seed * 1_000_003
         if i % 2 == 0:
             fields = tuple(
-                generate(RoughDataSpec(s=s_data, seed=base + m, n_modes=n_modes))
+                generate(RoughDataSpec(s=1.0, seed=base + m, n_modes=n_modes))
                 for m in range(window)
             )
         else:
-            v = generate(RoughDataSpec(s=s_data, seed=base, n_modes=n_modes))
+            v = generate(RoughDataSpec(s=1.0, seed=base, n_modes=n_modes))
             env = _envelope(base + 7, window)
             fields = tuple(
                 SpectralField(n_modes, env[m] * free_flow(v, m * tau).coeffs)

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
+from typing import Sequence
 
 from . import bourgain, harness, snapshot
 from .roughdata import RoughDataSpec, generate
@@ -148,33 +150,30 @@ def _parse_alternates(text: str) -> list[harness.ReferenceSpec]:
     return out
 
 
-def _cmd_converge(args: argparse.Namespace) -> int:
-    cfg = harness.parse_config_file(args.config)
-    if args.out is not None:
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, output_dir=args.out)
-    records = harness.run_study(cfg)
-    print(f"{len(records)} records in {cfg.output_dir / 'records.csv'}")
-    for s in cfg.s_values:
+def _print_fits(prefix: str, records: Sequence[harness.ConvergenceRecord],
+                s_values: Sequence[float]) -> None:
+    for s in s_values:
         try:
             fit = harness.fit_order(records, s=s)
         except ValueError as exc:
-            print(f"s={s:g}: no fit ({exc})")
+            print(f"{prefix}s={s:g}: no fit ({exc})")
             continue
-        print(f"s={s:g}: slope={fit.slope:.4f} intercept={fit.intercept:.4f} "
+        print(f"{prefix}s={s:g}: slope={fit.slope:.4f} intercept={fit.intercept:.4f} "
               f"residual={fit.residual:.4f} points={fit.n_points}")
+
+
+def _cmd_converge(args: argparse.Namespace) -> int:
+    cfg = harness.parse_config_file(args.config)
+    if args.out is not None:
+        cfg = replace(cfg, output_dir=args.out)
+    records = harness.run_study(cfg)
+    print(f"{len(records)} records in {cfg.output_dir / 'records.csv'}")
+    _print_fits("", records, cfg.s_values)
     if args.reference_sensitivity:
         for ref, recs in harness.run_reference_sensitivity(
             cfg, _parse_alternates(args.reference_sensitivity)
         ).items():
-            for s in cfg.s_values:
-                try:
-                    fit = harness.fit_order(recs, s=s)
-                except ValueError as exc:
-                    print(f"ref K={ref.n_modes} tau={ref.tau:g} s={s:g}: no fit ({exc})")
-                    continue
-                print(f"ref K={ref.n_modes} tau={ref.tau:g} s={s:g}: slope={fit.slope:.4f}")
+            _print_fits(f"ref K={ref.n_modes} tau={ref.tau:g} ", recs, cfg.s_values)
     return EXIT_OK
 
 

@@ -21,12 +21,14 @@ import hashlib
 import json
 import logging
 import math
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -248,6 +250,21 @@ def _reference_key(
     ])
 
 
+@contextmanager
+def _staged(path: Path) -> Iterator[Path]:
+    """A temp path beside ``path``, moved onto it with ``os.replace`` on success.
+
+    Readers of ``path`` see the old file or the whole new one, never a
+    partial write, and a failed write leaves no file behind.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def reference_cache_path(cache_dir: str | Path, key: str) -> Path:
     digest = hashlib.sha256(key.encode()).hexdigest()
     return Path(cache_dir) / f"ref_{digest[:32]}.nls2"
@@ -279,15 +296,16 @@ def compute_reference(
     mu: int = -1,
     cache_dir: str | Path | None = None,
     datum: SpectralField | None = None,
-    theta: float | None = None,
 ) -> tuple[SpectralField, Path | None]:
     """Reference solution at the datum's resolution, cached on disk.
 
     The reference runs the same integrator with the filter held at the
-    lattice identity (``theta = 4/K^2``) unless overridden.  Cache entries
-    are keyed by the full recipe (datum spec, digest of the evolved datum,
-    step, horizon, sign, filter, integrator version) and carry a payload
-    checksum; corrupt or mismatched entries are recomputed with a warning.
+    lattice identity (``theta = 4/K^2``).  Cache entries are keyed by the
+    full recipe (datum spec, digest of the evolved datum, step, horizon,
+    sign, filter, integrator version) and carry a payload checksum; corrupt
+    or mismatched entries are recomputed with a warning.  The payload and
+    then its metadata are each written to a temp file and renamed into
+    place, so processes sharing a cache never read a partial entry.
     ``datum`` substitutes an explicit initial field for the generated one
     (validation runs).
 
@@ -295,8 +313,7 @@ def compute_reference(
     """
     u0 = generate(spec) if datum is None else datum
     n = u0.n_modes
-    if theta is None:
-        theta = 4.0 / (n * n)
+    theta = 4.0 / (n * n)
     digest = hashlib.sha256(np.ascontiguousarray(u0.coeffs, dtype="<c16").tobytes()).hexdigest()
     key = _reference_key(spec, tau_ref, t_final, mu, theta, digest)
     path = None
@@ -309,9 +326,11 @@ def compute_reference(
     final = evolve(u0, params)
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        snapshot.save_field(final, path)
-        meta = {"key": key, "payload_sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
-        path.with_suffix(".json").write_text(json.dumps(meta, indent=2))
+        with _staged(path) as tmp:
+            snapshot.save_field(final, tmp)
+            meta = {"key": key, "payload_sha256": hashlib.sha256(tmp.read_bytes()).hexdigest()}
+        with _staged(path.with_suffix(".json")) as tmp:
+            tmp.write_text(json.dumps(meta, indent=2))
     return final, path
 
 
@@ -390,14 +409,41 @@ def _drop_torn_row(path: Path) -> None:
         fh.truncate(data.rfind(b"\n") + 1)
 
 
+def _claim_output_dir(cfg: StudyConfig, resuming: bool) -> None:
+    """Write the recipe all rows share to ``study.json``; resumed rows need a match."""
+    path = cfg.output_dir / "study.json"
+    want = {
+        "scheme": SCHEME_VERSION,
+        "T": float(cfg.t_final).hex(),
+        "grid_reference": cfg.reference.n_modes,
+        "tau_reference": float(cfg.reference.tau).hex(),
+        "mu": cfg.mu,
+        "eps": float(cfg.eps).hex(),
+        "target_l2": float(cfg.target_l2).hex(),
+    }
+    if resuming:
+        if not path.exists():
+            raise ValueError(f"{cfg.output_dir} holds records but no study.json; "
+                             "use a new output_dir")
+        have = json.loads(path.read_text())
+        differ = sorted(k for k in want.keys() | have.keys() if want.get(k) != have.get(k))
+        if differ:
+            raise ValueError(f"{cfg.output_dir} holds records of a different study "
+                             f"(differing: {', '.join(differ)}); use a new output_dir")
+    with _staged(path) as tmp:
+        tmp.write_text(json.dumps(want, indent=2) + "\n")
+
+
 def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     """Execute (or resume) the sweep; returns all records, sorted.
 
     Rows are appended to ``records.csv`` as they complete, keyed by
-    (s, tau, seed); rerunning with the same config skips completed rows,
+    (s, tau, seed); rerunning with the same recipe skips completed rows,
     including failed ones.  A row torn by an interrupted write is dropped
-    and recomputed.  On completion the file is rewritten in sorted
-    order and the plot data files are refreshed.
+    and recomputed.  Rows resume only under the recipe in ``study.json``
+    (adding an s, a tau or a seed still resumes); a different one raises
+    ValueError.  On completion the file is rewritten in sorted order and
+    the plot data files are refreshed.
     """
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     records_path = cfg.output_dir / "records.csv"
@@ -405,6 +451,7 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     if records_path.exists():
         _drop_torn_row(records_path)
         existing = read_records(records_path)
+    _claim_output_dir(cfg, bool(existing))
     done = {rec.key for rec in existing}
 
     pairs = [(s, seed) for s in cfg.s_values for seed in cfg.seeds]

@@ -1,18 +1,22 @@
 """Independent slow-path oracles used across the test suite.
 
-Everything here except :func:`composed_lie_step` is written against the
-documented definitions with direct summation only: no FFT, no shared code
-paths with the package internals beyond the field containers.
+Everything here except :func:`composed_lie_step` and
+:func:`twisted_bourgain_norm` is written against the documented definitions
+with direct summation only: no FFT, no shared code paths with the package
+internals beyond the field containers.
 
-:func:`composed_lie_step` is the one reference built from the package's
-public transforms: it composes the filtered Lie step stage by stage, as the
-scheme is written down, to check the fused loop in ``evolve``.
+Those two are built from the package's public transforms instead.
+:func:`composed_lie_step` composes the filtered Lie step stage by stage, as
+the scheme is written down, to check the fused loop in ``evolve``;
+:func:`twisted_bourgain_norm` is an equivalent form of ``bourgain_norm``
+used to cross-check it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from nls2d.bourgain import Trajectory, time_space_transform
 from nls2d.spectral import GridField, SpectralField, dft_forward, project, synthesize
 from nls2d.splitting import SchemeParams, free_flow
 
@@ -79,10 +83,9 @@ def composed_lie_step(f: SpectralField, params: SchemeParams) -> SpectralField:
     return free_flow(project(dft_forward(w), cut), params.tau)
 
 
-def brute_force_bourgain_norm(tr, s: float, b: float, window: int | None = None) -> float:
+def brute_force_bourgain_norm(tr, s: float, b: float) -> float:
     """Direct summation of the weighted space-time norm definition."""
-    m_traj = len(tr.fields)
-    m = m_traj if window is None else window
+    m = len(tr.fields)
     n = tr.n_modes
     tau = tr.tau
     k = centered_indices(n).astype(np.float64)
@@ -91,7 +94,7 @@ def brute_force_bourgain_norm(tr, s: float, b: float, window: int | None = None)
     for mp in range(-(m // 2), m - m // 2):
         sigma = 2.0 * np.pi * mp / (m * tau)
         transform = np.zeros((n, n), dtype=np.complex128)
-        for idx in range(m_traj):
+        for idx in range(m):
             transform += tr.fields[idx].coeffs * np.exp(1j * idx * tau * sigma)
         transform *= tau
         dsq = 4.0 * np.sin(0.5 * tau * (sigma - ksq)) ** 2 / tau**2
@@ -99,6 +102,26 @@ def brute_force_bourgain_norm(tr, s: float, b: float, window: int | None = None)
         total += float(np.sum(weight * np.abs(transform) ** 2))
     dsigma = 2.0 * np.pi / (m * tau)
     return float(np.sqrt(2.0 * np.pi * dsigma * total))
+
+
+def twisted_bourgain_norm(tr: Trajectory, s: float, b: float) -> float:
+    """Equivalent-norm variant of ``bourgain_norm`` via the free-flow-twisted sequence.
+
+    Applies the weight ``(1 + |k|^2)**s * (1 + |d(sigma)|^2)**b`` to the
+    transform of ``v_m = free_flow(u_m, -m*tau)`` (whose backward difference
+    quotient is the discrete twisted derivative).  Equivalent to
+    ``bourgain_norm`` up to (s, b)-dependent constants, and identical at
+    b = 0.
+    """
+    tau = tr.tau
+    twisted = Trajectory(tau, tuple(free_flow(f, -m * tau) for m, f in enumerate(tr.fields)))
+    t = time_space_transform(twisted)
+    k = centered_indices(tr.n_modes).astype(np.float64)
+    ksq = k[:, None] ** 2 + k[None, :] ** 2
+    dsq = 4.0 * np.sin(0.5 * tau * t.sigmas) ** 2 / tau**2
+    weight = (1.0 + ksq[None, :, :]) ** s * (1.0 + dsq[:, None, None]) ** b
+    dsigma = 2.0 * np.pi / (len(t.sigmas) * tau)
+    return float(np.sqrt(2.0 * np.pi * dsigma * np.sum(weight * np.abs(t.values) ** 2)))
 
 
 def splitmix64_reference(seed: int, count: int) -> list[float]:

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from nls2d.bourgain import (
-    BourgainParams,
     ESTIMATE_IDS,
     Trajectory,
     bourgain_norm,
@@ -200,6 +199,7 @@ def study_s2(tmp_path_factory, shared_cache):
     return config, out, elapsed
 
 
+@pytest.mark.slow
 def test_criterion_06_convergence_order_smooth(study_s2):
     with _criterion(6, "convergence order at s=2", 900.0) as info:
         config, out, elapsed = study_s2
@@ -212,6 +212,7 @@ def test_criterion_06_convergence_order_smooth(study_s2):
         assert elapsed < 900.0
 
 
+@pytest.mark.slow
 def test_criterion_07_convergence_order_rough(tmp_path_factory, shared_cache):
     with _criterion(7, "convergence order at s=1 and monotonicity at s=0.5", 900.0) as info:
         root = tmp_path_factory.mktemp("study_rough")
@@ -253,16 +254,16 @@ def test_criterion_07_convergence_order_rough(tmp_path_factory, shared_cache):
 def test_criterion_08_spacetime_norm_reductions():
     with _criterion(8, "space-time norm reductions", 30.0) as info:
         worst_flat = worst_hom = 0.0
-        lo, hi_s, hi_b = BourgainParams(0.5, 0.25), BourgainParams(1.5, 0.25), BourgainParams(0.5, 0.75)
+        lo, hi_s, hi_b = (0.5, 0.25), (1.5, 0.25), (0.5, 0.75)
         for _ in range(100):
             tr = Trajectory(0.25, tuple(_random_field(8) for _ in range(6)))
-            flat = bourgain_norm(tr, BourgainParams(0.0, 0.0))
+            flat = bourgain_norm(tr, 0.0, 0.0)
             worst_flat = max(worst_flat, abs(flat - trajectory_l2(tr)) / trajectory_l2(tr))
-            base = bourgain_norm(tr, lo)
-            assert bourgain_norm(tr, hi_s) >= base
-            assert bourgain_norm(tr, hi_b) >= base
+            base = bourgain_norm(tr, *lo)
+            assert bourgain_norm(tr, *hi_s) >= base
+            assert bourgain_norm(tr, *hi_b) >= base
             worst_hom = max(worst_hom,
-                            abs(bourgain_norm(tr.scaled(2.5), lo) - 2.5 * base) / (2.5 * base))
+                            abs(bourgain_norm(tr.scaled(2.5), *lo) - 2.5 * base) / (2.5 * base))
         info["flat_rel_dev"] = f"{worst_flat:.3e}"
         info["hom_rel_dev"] = f"{worst_hom:.3e}"
         assert worst_flat <= 1e-12
@@ -292,6 +293,7 @@ def test_criterion_09_estimate_probes():
 # determinism
 
 
+@pytest.mark.slow
 def test_criterion_10_converge_is_deterministic(study_s2, tmp_path_factory):
     # records are compared without the wall_time column, the only
     # intentionally nondeterministic field in the schema

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from nls2d.bourgain import (
-    BourgainParams,
     ESTIMATE_IDS,
     Trajectory,
     bourgain_norm,
-    bourgain_norm_twisted,
     estimate_probe,
     probe_ensemble,
     time_space_transform,
@@ -23,7 +21,7 @@ from nls2d.roughdata import RoughDataSpec, generate
 from nls2d.spectral import SpectralField, sobolev_norm
 from nls2d.splitting import free_flow
 
-from oracles import brute_force_bourgain_norm, plane_wave
+from oracles import brute_force_bourgain_norm, plane_wave, twisted_bourgain_norm
 
 RNG = np.random.default_rng(2203)
 
@@ -36,6 +34,12 @@ def random_trajectory(tau: float, n: int, m: int) -> Trajectory:
     return Trajectory(tau, fields)
 
 
+def zero_padded(tr: Trajectory, window: int) -> Trajectory:
+    """The trajectory followed by zero snapshots up to ``window`` in all."""
+    zero = SpectralField(tr.n_modes, np.zeros((tr.n_modes, tr.n_modes), dtype=np.complex128))
+    return Trajectory(tr.tau, tr.fields + (zero,) * (window - len(tr)))
+
+
 class TestContainers:
     def test_trajectory_validation(self):
         f = plane_wave(4, 1.0, (1, 0))
@@ -45,10 +49,6 @@ class TestContainers:
             Trajectory(0.5, ())
         with pytest.raises(ValueError, match="lattice"):
             Trajectory(0.5, (f, plane_wave(8, 1.0, (1, 0))))
-
-    def test_params_validation(self):
-        with pytest.raises(ValueError, match="window"):
-            BourgainParams(1.0, 0.5, window=0)
 
     def test_scaled(self):
         tr = random_trajectory(0.25, 4, 3)
@@ -60,7 +60,7 @@ class TestTransform:
     def test_single_snapshot_is_constant_in_sigma(self):
         """One snapshot transforms to tau * c_0 at every sigma sample."""
         f = plane_wave(8, 0.3 + 0.4j, (2, -1))
-        t = time_space_transform(Trajectory(0.125, (f,)), window=16)
+        t = time_space_transform(zero_padded(Trajectory(0.125, (f,)), 16))
         assert t.values.shape == (16, 8, 8)
         for row in t.values:
             np.testing.assert_allclose(row, 0.125 * f.coeffs, rtol=0, atol=1e-15)
@@ -82,18 +82,13 @@ class TestTransform:
         np.testing.assert_allclose(t1.values, phase * t0.values, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(np.abs(t1.values), np.abs(t0.values), rtol=1e-12, atol=1e-12)
 
-    def test_window_shorter_than_trajectory_rejected(self):
-        tr = random_trajectory(0.25, 4, 6)
-        with pytest.raises(ValueError, match="window 4 shorter"):
-            time_space_transform(tr, window=4)
-
 
 class TestNormReductions:
     def test_flat_norm_equals_l2_in_time(self):
         """s = b = 0 collapses to the step-weighted l2-in-time L2 norm."""
         for tau, n, m in [(0.25, 8, 6), (2.0**-6, 4, 12), (1.0, 16, 5)]:
             tr = random_trajectory(tau, n, m)
-            flat = bourgain_norm(tr, BourgainParams(0.0, 0.0))
+            flat = bourgain_norm(tr, 0.0, 0.0)
             assert abs(flat - trajectory_l2(tr)) <= 1e-12 * trajectory_l2(tr)
 
     def test_manual_parseval_from_transform(self):
@@ -108,33 +103,33 @@ class TestNormReductions:
 
     def test_monotone_in_s_and_b(self):
         tr = random_trajectory(0.25, 8, 6)
-        base = bourgain_norm(tr, BourgainParams(0.5, 0.25))
-        assert bourgain_norm(tr, BourgainParams(1.0, 0.25)) >= base
-        assert bourgain_norm(tr, BourgainParams(0.5, 0.75)) >= base
-        assert bourgain_norm(tr, BourgainParams(0.0, 0.0)) <= base
+        base = bourgain_norm(tr, 0.5, 0.25)
+        assert bourgain_norm(tr, 1.0, 0.25) >= base
+        assert bourgain_norm(tr, 0.5, 0.75) >= base
+        assert bourgain_norm(tr, 0.0, 0.0) <= base
 
     def test_homogeneous(self):
         tr = random_trajectory(0.25, 8, 5)
-        p = BourgainParams(1.0, 0.6)
-        base = bourgain_norm(tr, p)
-        assert abs(bourgain_norm(tr.scaled(3.0), p) - 3.0 * base) <= 1e-12 * base
-        assert abs(bourgain_norm(tr.scaled(1j), p) - base) <= 1e-12 * base
+        base = bourgain_norm(tr, 1.0, 0.6)
+        assert abs(bourgain_norm(tr.scaled(3.0), 1.0, 0.6) - 3.0 * base) <= 1e-12 * base
+        assert abs(bourgain_norm(tr.scaled(1j), 1.0, 0.6) - base) <= 1e-12 * base
 
     def test_matches_direct_summation(self):
         """FFT evaluation agrees with the no-FFT direct sum of the
-        definition for several exponent pairs and window extensions."""
+        definition for several exponent pairs and zero extensions."""
         tr = random_trajectory(0.125, 4, 6)
-        for s, b, window in [(0.0, 0.0, None), (1.0, 0.6, None), (0.5, 0.4, 8), (2.0, 1.0, 13)]:
-            got = bourgain_norm(tr, BourgainParams(s, b, window))
-            want = brute_force_bourgain_norm(tr, s, b, window)
+        for s, b, window in [(0.0, 0.0, 6), (1.0, 0.6, 6), (0.5, 0.4, 8), (2.0, 1.0, 13)]:
+            padded = zero_padded(tr, window)
+            got = bourgain_norm(padded, s, b)
+            want = brute_force_bourgain_norm(padded, s, b)
             assert abs(got - want) <= 1e-10 * want
 
     def test_window_extension_changes_weighted_norm(self):
         # zero extension adds edge content once b > 0, so extended windows
         # are a different (finite) number, not a refinement
         tr = random_trajectory(0.25, 4, 4)
-        a = bourgain_norm(tr, BourgainParams(0.0, 0.75))
-        c = bourgain_norm(tr, BourgainParams(0.0, 0.75, window=16))
+        a = bourgain_norm(tr, 0.0, 0.75)
+        c = bourgain_norm(zero_padded(tr, 16), 0.0, 0.75)
         assert np.isfinite(c) and c > 0.0
         assert a != c
 
@@ -142,9 +137,8 @@ class TestNormReductions:
 class TestTwistedForm:
     def test_identical_at_b_zero(self):
         tr = random_trajectory(0.25, 8, 6)
-        p = BourgainParams(1.5, 0.0)
-        a = bourgain_norm(tr, p)
-        b = bourgain_norm_twisted(tr, p)
+        a = bourgain_norm(tr, 1.5, 0.0)
+        b = twisted_bourgain_norm(tr, 1.5, 0.0)
         assert abs(a - b) <= 1e-12 * a
 
     def test_free_flow_comparison(self):
@@ -154,9 +148,8 @@ class TestTwistedForm:
         tau, n, m = 0.125, 8, 16
         u0 = generate(RoughDataSpec(s=1.0, seed=11, n_modes=n))
         tr = Trajectory(tau, tuple(free_flow(u0, i * tau) for i in range(m)))
-        p = BourgainParams(1.0, 0.75)
-        plain = bourgain_norm(tr, p)
-        twisted = bourgain_norm_twisted(tr, p)
+        plain = bourgain_norm(tr, 1.0, 0.75)
+        twisted = twisted_bourgain_norm(tr, 1.0, 0.75)
         assert np.isfinite(plain) and plain > 0.0
         assert np.isfinite(twisted) and twisted > 0.0
         assert twisted <= plain

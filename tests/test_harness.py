@@ -2,11 +2,15 @@
 
 import logging
 import math
+import shutil
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nls2d.harness as harness
+import nls2d.snapshot as snapshot
 from nls2d.harness import (
     ConvergenceRecord,
     RECORD_COLUMNS,
@@ -196,6 +200,26 @@ class TestReference:
             compute_reference(self.SPEC, 2.0**-6, 0.25, cache_dir=tmp_path)
         assert any("different run" in r.message for r in caplog.records)
 
+    def test_failed_write_leaves_no_entry(self, tmp_path, monkeypatch, caplog):
+        """A payload write that dies half way leaves nothing at a final path."""
+        real = snapshot.save_field
+
+        def torn(field, path):
+            real(field, path)
+            blob = Path(path).read_bytes()
+            Path(path).write_bytes(blob[: len(blob) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(snapshot, "save_field", torn)
+        with pytest.raises(OSError, match="disk full"):
+            compute_reference(self.SPEC, 2.0**-6, 0.25, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+        with caplog.at_level(logging.WARNING, logger="nls2d.harness"):
+            _, path = compute_reference(self.SPEC, 2.0**-6, 0.25, cache_dir=tmp_path)
+        assert caplog.records == []
+        assert path.exists() and path.with_suffix(".json").exists()
+
     def test_distinct_recipes_distinct_paths(self, tmp_path):
         a = reference_cache_path(tmp_path, "key-a")
         assert a == reference_cache_path(tmp_path, "key-a")
@@ -309,6 +333,23 @@ class TestRunStudy:
         assert len(calls) == 1  # the torn row; the reference came from cache
         assert [r.key for r in resumed] == [r.key for r in records]
         assert [r.l2_error for r in resumed] == [r.l2_error for r in records]
+
+    def test_resume_refuses_another_recipe(self, mini_study, tmp_path, monkeypatch):
+        """Rows resume only under the recipe recorded in study.json."""
+        cfg, records = mini_study
+        out = tmp_path / "copy"
+        shutil.copytree(cfg.output_dir, out)
+        copy = replace(cfg, output_dir=out)  # the copied cache holds the references
+        with pytest.raises(ValueError, match=r"differing: T\)"):
+            run_study(replace(copy, t_final=0.5))
+        calls = []
+        real = harness.evolve
+        monkeypatch.setattr(harness, "evolve", lambda *a, **k: calls.append(1) or real(*a, **k))
+        resumed = run_study(replace(copy, tau_list=copy.tau_list + (2.0**-3,)))
+        assert len(calls) == 2 and len(resumed) == len(records) + 2
+        (out / "study.json").unlink()
+        with pytest.raises(ValueError, match="no study.json"):
+            run_study(copy)
 
     def test_reference_sensitivity_writes_subdirs(self, mini_study):
         cfg, records = mini_study
