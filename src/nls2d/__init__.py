@@ -7,39 +7,4 @@ estimate probes), :mod:`nls2d.harness` (convergence studies), and
 :mod:`nls2d.snapshot` (binary field I/O).
 """
 
-from .bourgain import (
-    Trajectory,
-    bourgain_norm,
-    estimate_probe,
-    probe_ensemble,
-    time_space_transform,
-)
-from .harness import (
-    ConvergenceRecord,
-    OrderFit,
-    ReferenceSpec,
-    StudyConfig,
-    compute_reference,
-    fit_order,
-    l2_error,
-    run_study,
-)
-from .roughdata import RoughDataSpec, generate, rng_stream, uniform_block
-from .snapshot import load_field, save_field
-from .spectral import (
-    CutoffSpec,
-    GridField,
-    NonFiniteFieldError,
-    SpectralField,
-    dft_forward,
-    embed,
-    l2_norm,
-    l2h_norm,
-    project,
-    restrict,
-    sobolev_norm,
-    synthesize,
-)
-from .splitting import BlowupError, SchemeParams, evolve, free_flow
-
 __version__ = "0.1.0"

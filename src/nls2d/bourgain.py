@@ -39,15 +39,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .roughdata import RoughDataSpec, generate, uniform_block
-from .spectral import (
-    CutoffSpec,
-    SpectralField,
-    l2_norm,
-    mode_values,
-    project,
-    sobolev_norm,
-    synthesize,
-)
+from .spectral import SpectralField, l2_norm, mode_ksq, project, sobolev_norm, synthesize
 from .splitting import free_flow
 
 __all__ = [
@@ -136,8 +128,7 @@ def bourgain_norm(tr: Trajectory, s: float, b: float) -> float:
     free dispersion relation, so free-flow trajectories score low for b > 0.
     """
     t = time_space_transform(tr)
-    k = mode_values(tr.n_modes).astype(np.float64)
-    ksq = k[:, None] ** 2 + k[None, :] ** 2
+    ksq = mode_ksq(tr.n_modes)
     arg = t.sigmas[:, None, None] - ksq[None, :, :]
     dsq = 4.0 * np.sin(0.5 * t.tau * arg) ** 2 / (t.tau * t.tau)
     w = (1.0 + ksq[None, :, :]) ** s * (1.0 + dsq) ** b
@@ -165,8 +156,8 @@ def trajectory_l4(tr: Trajectory) -> float:
     total = 0.0
     for f in tr.fields:
         g = synthesize(f, 2 * f.n_modes)
-        v = g.values.real**2 + g.values.imag**2
-        cell = (2.0 * np.pi / g.n_points) ** 2
+        v = g.real**2 + g.imag**2
+        cell = (2.0 * np.pi / len(g)) ** 2
         total += cell * float(np.sum(v * v))
     return float((tr.tau * total) ** 0.25)
 
@@ -232,8 +223,7 @@ def estimate_probe(
             lhs = trajectory_sup_sobolev(tr, s)
             rhs = bourgain_norm(tr, s, b)
         else:
-            cut = CutoffSpec(tr.tau)
-            filtered = Trajectory(tr.tau, tuple(project(f, cut) for f in tr.fields))
+            filtered = Trajectory(tr.tau, tuple(project(f, tr.tau) for f in tr.fields))
             lhs = trajectory_l4(filtered)
             rhs = bourgain_norm(tr, s / 2.0, 1.0 - b)
         if rhs == 0.0:

@@ -135,7 +135,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_reference(args: argparse.Namespace) -> int:
     spec = RoughDataSpec(s=args.s, seed=args.seed, n_modes=args.grid_reference,
                          eps=args.eps, target_l2=args.target_l2)
-    field, path = harness.compute_reference(spec, args.tau_ref, args.T, args.mu, args.cache)
+    field, path = harness.compute_reference(generate(spec), args.tau_ref, args.T, args.mu,
+                                            args.cache)
     print(f"reference cached at {path} (l2={l2_norm(field):.6g})")
     return EXIT_OK
 
@@ -166,14 +167,15 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     cfg = harness.parse_config_file(args.config)
     if args.out is not None:
         cfg = replace(cfg, output_dir=args.out)
+    alternates = {}
+    if args.reference_sensitivity:
+        alternates = harness.sensitivity_configs(
+            cfg, _parse_alternates(args.reference_sensitivity))
     records = harness.run_study(cfg)
     print(f"{len(records)} records in {cfg.output_dir / 'records.csv'}")
     _print_fits("", records, cfg.s_values)
-    if args.reference_sensitivity:
-        for ref, recs in harness.run_reference_sensitivity(
-            cfg, _parse_alternates(args.reference_sensitivity)
-        ).items():
-            _print_fits(f"ref K={ref.n_modes} tau={ref.tau:g} ", recs, cfg.s_values)
+    for ref, sub in alternates.items():
+        _print_fits(f"ref K={ref.n_modes} tau={ref.tau:g} ", harness.run_study(sub), cfg.s_values)
     return EXIT_OK
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import snapshot
 from .roughdata import RoughDataSpec, generate
-from .spectral import CutoffSpec, SpectralField, embed, l2_norm, project, restrict
+from .spectral import SpectralField, embed, l2_norm, project, restrict
 from .splitting import (
     SCHEME_VERSION,
     BlowupError,
@@ -56,6 +56,7 @@ __all__ = [
     "l2_error",
     "coarse_datum",
     "run_study",
+    "sensitivity_configs",
     "run_reference_sensitivity",
     "fit_order",
     "fit_xy",
@@ -96,13 +97,6 @@ def _is_power_of_two(x: float) -> bool:
     return math.frexp(x)[0] == 0.5
 
 
-def _check_step_divides(t_final: float, tau: float, label: str) -> None:
-    steps = round(t_final / tau)
-    tol = math.ulp(t_final) if t_final > 0.0 else 0.0
-    if steps < 1 or abs(steps * tau - t_final) > tol:
-        raise ValueError(f"T={t_final} is not a positive integer multiple of {label}={tau}")
-
-
 @dataclass(frozen=True)
 class ReferenceSpec:
     """Resolution of the reference solve: lattice size and step."""
@@ -121,11 +115,13 @@ class ReferenceSpec:
 class StudyConfig:
     """Everything one convergence study needs.
 
-    Validation pins the couplings the sweep relies on: every tau is a
-    power of two and divides T; the reference step is at least 16 times
-    finer than the finest tau; and the reference lattice holds at least
-    twice the largest coarse grid (4x is recommended and logged when not
-    met), so every coarse field embeds losslessly.
+    Validation pins the couplings the sweep relies on: T > 0; every tau is
+    a power of two; the parameters of every coarse run and of the reference
+    are valid :class:`~nls2d.splitting.SchemeParams` (so each step divides
+    T and mu is +1 or -1); the reference step is at least 16 times finer
+    than the finest tau; and the reference lattice holds at least twice the
+    largest coarse grid (4x is recommended and logged when not met), so
+    every coarse field embeds losslessly.
     """
 
     s_values: tuple[float, ...]
@@ -155,11 +151,13 @@ class StudyConfig:
             raise ValueError("tau_list must be nonempty")
         if len(set(self.tau_list)) != len(self.tau_list):
             raise ValueError("tau_list contains duplicates")
+        if not (self.t_final > 0.0):
+            raise ValueError(f"T must be positive, got {self.t_final}")
         for tau in self.tau_list:
             if not _is_power_of_two(tau):
                 raise ValueError(f"tau_list entries must be powers of two, got {tau}")
-            _check_step_divides(self.t_final, tau, "tau")
-        _check_step_divides(self.t_final, self.reference.tau, "reference tau")
+            SchemeParams(tau, grid_for_tau(tau), self.mu, self.t_final)
+        SchemeParams(self.reference.tau, self.reference.n_modes, self.mu, self.t_final)
         if self.reference.tau > min(self.tau_list) / 16.0:
             raise ValueError(
                 f"reference tau {self.reference.tau} must be <= min(tau_list)/16 "
@@ -169,8 +167,6 @@ class StudyConfig:
             raise ValueError("seeds must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds contains duplicates")
-        if self.mu not in (-1, 1):
-            raise ValueError(f"mu must be +1 or -1, got {self.mu}")
         if not (self.eps > 0.0) or not (self.target_l2 > 0.0):
             raise ValueError("eps and target_l2 must be positive")
         if self.workers < 1:
@@ -231,22 +227,15 @@ class OrderFit:
 # reference solutions
 
 
-def _reference_key(
-    spec: RoughDataSpec, tau_ref: float, t_final: float, mu: int, theta: float,
-    datum_digest: str,
-) -> str:
+def _reference_key(u0: SpectralField, tau_ref: float, t_final: float, mu: int) -> str:
+    digest = hashlib.sha256(np.ascontiguousarray(u0.coeffs, dtype="<c16").tobytes()).hexdigest()
     return "|".join([
         f"scheme={SCHEME_VERSION}",
-        f"s={float(spec.s).hex()}",
-        f"eps={float(spec.eps).hex()}",
-        f"seed={spec.seed}",
-        f"n_modes={spec.n_modes}",
-        f"target_l2={float(spec.target_l2).hex()}",
+        f"n_modes={u0.n_modes}",
         f"tau_ref={float(tau_ref).hex()}",
         f"T={float(t_final).hex()}",
         f"mu={mu}",
-        f"theta={float(theta).hex()}",
-        f"datum={datum_digest}",
+        f"datum={digest}",
     ])
 
 
@@ -290,39 +279,34 @@ def _try_load_reference(path: Path, key: str) -> SpectralField | None:
 
 
 def compute_reference(
-    spec: RoughDataSpec,
+    u0: SpectralField,
     tau_ref: float,
     t_final: float,
     mu: int = -1,
     cache_dir: str | Path | None = None,
-    datum: SpectralField | None = None,
 ) -> tuple[SpectralField, Path | None]:
-    """Reference solution at the datum's resolution, cached on disk.
+    """Reference solution of the datum ``u0`` on its own lattice, cached on disk.
 
     The reference runs the same integrator with the filter held at the
-    lattice identity (``theta = 4/K^2``).  Cache entries are keyed by the
-    full recipe (datum spec, digest of the evolved datum, step, horizon,
-    sign, filter, integrator version) and carry a payload checksum; corrupt
-    or mismatched entries are recomputed with a warning.  The payload and
-    then its metadata are each written to a temp file and renamed into
-    place, so processes sharing a cache never read a partial entry.
-    ``datum`` substitutes an explicit initial field for the generated one
-    (validation runs).
+    lattice identity (``theta = 4/K^2`` for a K-mode datum).  Cache entries
+    are keyed by the digest of the datum's coefficients, the lattice size,
+    step, horizon, sign and integrator version, and carry a payload
+    checksum; corrupt or mismatched entries are recomputed with a warning.
+    The payload and then its metadata are each written to a temp file and
+    renamed into place, so processes sharing a cache never read a partial
+    entry.
 
     Returns the reference and its cache path (None without ``cache_dir``).
     """
-    u0 = generate(spec) if datum is None else datum
-    n = u0.n_modes
-    theta = 4.0 / (n * n)
-    digest = hashlib.sha256(np.ascontiguousarray(u0.coeffs, dtype="<c16").tobytes()).hexdigest()
-    key = _reference_key(spec, tau_ref, t_final, mu, theta, digest)
+    key = _reference_key(u0, tau_ref, t_final, mu)
     path = None
     if cache_dir is not None:
         path = reference_cache_path(cache_dir, key)
         cached = _try_load_reference(path, key)
         if cached is not None:
             return cached, path
-    params = SchemeParams(tau=tau_ref, n_modes=n, mu=mu, t_final=t_final, theta=theta)
+    n = u0.n_modes
+    params = SchemeParams(tau=tau_ref, n_modes=n, mu=mu, t_final=t_final, theta=4.0 / (n * n))
     final = evolve(u0, params)
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -350,7 +334,7 @@ def coarse_datum(datum: SpectralField, theta: float, n_modes: int) -> SpectralFi
     The filter width ``theta**-0.5`` never exceeds ``n_modes/2`` under the
     study coupling, so the restriction drops only zeros.
     """
-    return restrict(project(datum, CutoffSpec(theta)), n_modes)
+    return restrict(project(datum, theta), n_modes)
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +344,12 @@ def coarse_datum(datum: SpectralField, theta: float, n_modes: int) -> SpectralFi
 class _RecordAppender:
     """Serialized, flush-per-row CSV appender (crash-safe resume point)."""
 
-    def __init__(self, path: Path, existing: Sequence[ConvergenceRecord]):
+    def __init__(self, path: Path):
         self._lock = threading.Lock()
         fresh = not path.exists() or path.stat().st_size == 0
         self._fh = open(path, "a", newline="")
         self._writer = csv.writer(self._fh)
-        if fresh and not existing:
+        if fresh:
             self._writer.writerow(RECORD_COLUMNS)
             self._fh.flush()
 
@@ -462,7 +446,7 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     needed_pairs = [p for p in pairs if todo[p]]
 
     records = list(existing)
-    appender = _RecordAppender(records_path, existing)
+    appender = _RecordAppender(records_path)
     try:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             datum_futures = {
@@ -473,12 +457,11 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
             ref_futures = {
                 (s, seed): pool.submit(
                     compute_reference,
-                    cfg.datum_spec(s, seed),
+                    data[(s, seed)],
                     cfg.reference.tau,
                     cfg.t_final,
                     cfg.mu,
                     cfg.resolved_cache_dir,
-                    data[(s, seed)],
                 )
                 for s, seed in needed_pairs
             }
@@ -503,20 +486,32 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     return records
 
 
+def sensitivity_configs(
+    cfg: StudyConfig, alternates: Sequence[ReferenceSpec]
+) -> dict[ReferenceSpec, StudyConfig]:
+    """The study of each alternative reference, under ``output_dir/ref_K{n}_tau{tau}/``.
+
+    Building the configs validates every alternative, so a bad one is
+    rejected before any sweep runs.
+    """
+    return {
+        ref: replace(cfg, reference=ref,
+                     output_dir=cfg.output_dir / f"ref_K{ref.n_modes}_tau{ref.tau:g}")
+        for ref in alternates
+    }
+
+
 def run_reference_sensitivity(
     cfg: StudyConfig, alternates: Sequence[ReferenceSpec]
 ) -> dict[ReferenceSpec, list[ConvergenceRecord]]:
     """Repeat the sweep against alternative reference resolutions.
 
     Qualitative tool: an under-resolved reference contaminates the small-
-    theta end of the error curve and flattens the fitted order.  Each
-    alternative writes records under ``output_dir/ref_K{n}_tau{tau}/``.
+    theta end of the error curve and flattens the fitted order.  Every
+    alternative is validated before the first sweep; each writes records
+    under ``output_dir/ref_K{n}_tau{tau}/``.
     """
-    out: dict[ReferenceSpec, list[ConvergenceRecord]] = {}
-    for ref in alternates:
-        sub = cfg.output_dir / f"ref_K{ref.n_modes}_tau{ref.tau:g}"
-        out[ref] = run_study(replace(cfg, reference=ref, output_dir=sub))
-    return out
+    return {ref: run_study(sub) for ref, sub in sensitivity_configs(cfg, alternates).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +567,15 @@ def export(records: Sequence[ConvergenceRecord], out_dir: str | Path) -> list[Pa
     """Write the sorted records CSV plus one plot-data file per s.
 
     Returns the written paths.  Plot files hold two columns
-    (log2_theta, log2_median_error) and round-trip the fit exactly.
+    (log2_theta, log2_median_error) and round-trip the fit exactly.  Each
+    file is written to a temp file and renamed into place, so a failed
+    export leaves the previous file whole.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ordered = sorted(records, key=lambda r: r.key)
     paths = [out_dir / "records.csv"]
-    with open(paths[0], "w", newline="") as fh:
+    with _staged(paths[0]) as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RECORD_COLUMNS)
         for rec in ordered:
@@ -586,7 +583,7 @@ def export(records: Sequence[ConvergenceRecord], out_dir: str | Path) -> list[Pa
     for s in sorted({r.s for r in ordered}):
         path = out_dir / f"plot_s{s:g}.csv"
         x, y = median_curve([r for r in ordered if r.s == s])
-        with open(path, "w", newline="") as fh:
+        with _staged(path) as tmp, open(tmp, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["log2_theta", "log2_median_error"])
             for xi, yi in zip(x, y):

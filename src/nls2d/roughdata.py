@@ -27,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .spectral import SpectralField, l2_norm, mode_values
+from .spectral import SpectralField, l2_norm, mode_ksq
 
 __all__ = ["RoughDataSpec", "rng_stream", "uniform_block", "generate"]
 
@@ -116,9 +116,7 @@ def generate(spec: RoughDataSpec) -> SpectralField:
     while True:
         draws = uniform_block(seed, 2 * n * n)
         g = draws[0::2].reshape(n, n) + 1j * draws[1::2].reshape(n, n)
-        k = mode_values(n).astype(np.float64)
-        ksq = k[:, None] ** 2 + k[None, :] ** 2
-        raw = (1.0 + ksq) ** (-(spec.s + 1.0 + spec.eps) / 2.0) * g
+        raw = (1.0 + mode_ksq(n)) ** (-(spec.s + 1.0 + spec.eps) / 2.0) * g
         norm = l2_norm(SpectralField(n, raw))
         if norm > 0.0:
             break

@@ -6,9 +6,9 @@ Conventions used throughout the package:
   ``u(x) = sum_k c_k exp(i<k, x>)`` over the centered integer lattice
   ``k1, k2 in [-N/2, N/2 - 1]``.  Arrays are indexed in natural (ascending)
   mode order, row-major: ``coeffs[i, j]`` holds ``k = (i - N/2, j - N/2)``.
-* A grid field stores point values at the uniform collocation nodes
-  ``x_{jl} = (2*pi*j/N, 2*pi*l/N)`` with ``j, l in [-N/2, N/2 - 1]``, again
-  in ascending index order, and carries the mesh weight ``h = 1/N``.
+* Grid values are a plain complex (N, N) array of samples at the uniform
+  collocation nodes ``x_{jl} = (2*pi*j/N, 2*pi*l/N)`` with
+  ``j, l in [-N/2, N/2 - 1]``, again in ascending index order.
 * The forward transform is normalized so that the coefficient array of the
   trigonometric interpolant is the raw DFT divided by ``N**2``.  With that
   scaling a pure mode ``exp(i<k, x>)`` sampled on its own grid transforms to
@@ -19,16 +19,15 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "NonFiniteFieldError",
     "SpectralField",
-    "GridField",
-    "CutoffSpec",
     "mode_values",
+    "mode_ksq",
     "dft_forward",
     "synthesize",
     "project",
@@ -74,59 +73,18 @@ class SpectralField:
         object.__setattr__(self, "coeffs", arr)
 
 
-@dataclass(frozen=True)
-class GridField:
-    """Point values on the uniform N x N collocation grid.
-
-    Attributes
-    ----------
-    n_points : int
-        Grid size N (even, >= 2); nodes are x_{jl} = 2*pi*(j, l)/N with
-        j, l in [-N/2, N/2 - 1].
-    values : np.ndarray
-        Complex (N, N) array of point values in ascending node order.
-    """
-
-    n_points: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.complex128)
-        _validate_square(arr, self.n_points, "grid value")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def h(self) -> float:
-        """Mesh weight 1/N of the discrete l2 norm on the grid."""
-        return 1.0 / self.n_points
-
-
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Frequency cutoff derived from the filter parameter theta.
-
-    The filter keeps the mode k = (k1, k2) iff ``-cutoff <= ki < cutoff``
-    for both components, with ``cutoff = theta**-0.5``.  The comparison is
-    a strict floating-point comparison against the integer mode values;
-    theta = 4/N^2 gives cutoff = N/2 exactly, so the filter is then the
-    identity on an N-mode lattice.
-    """
-
-    theta: float
-    cutoff: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not (self.theta > 0.0) or not np.isfinite(self.theta):
-            raise ValueError(f"theta must be a positive finite number, got {self.theta}")
-        object.__setattr__(self, "cutoff", float(self.theta) ** -0.5)
-
-
 def mode_values(n: int) -> np.ndarray:
     """Integer mode values -N/2 .. N/2-1 in storage order."""
     return np.arange(-(n // 2), n // 2)
 
 
-def dft_forward(grid: GridField) -> SpectralField:
+def mode_ksq(n: int) -> np.ndarray:
+    """Squared wavenumbers ``|k|^2 = k1^2 + k2^2`` on the N-mode lattice, as floats."""
+    k = mode_values(n).astype(np.float64)
+    return k[:, None] ** 2 + k[None, :] ** 2
+
+
+def dft_forward(values: np.ndarray) -> SpectralField:
     """Forward transform of grid samples to interpolant coefficients.
 
     Computes ``sum_{j,l} v_{jl} exp(-2*pi*i*(k1*j + k2*l)/N) / N**2`` for
@@ -137,20 +95,22 @@ def dft_forward(grid: GridField) -> SpectralField:
 
     Parameters
     ----------
-    grid : GridField
-        Samples on the N x N collocation grid.
+    values : np.ndarray
+        Complex (N, N) samples on the collocation grid; N even, all finite.
 
     Returns
     -------
     SpectralField
         Interpolant coefficients on the same lattice size.
     """
-    n = grid.n_points
-    raw = np.fft.fft2(np.fft.ifftshift(grid.values))
+    values = np.asarray(values, dtype=np.complex128)
+    n = len(values)
+    _validate_square(values, n, "grid value")
+    raw = np.fft.fft2(np.fft.ifftshift(values))
     return SpectralField(n, np.fft.fftshift(raw) / (n * n))
 
 
-def synthesize(f: SpectralField, n_points: int | None = None) -> GridField:
+def synthesize(f: SpectralField, n_points: int | None = None) -> np.ndarray:
     """Evaluate a spectral field on a collocation grid.
 
     Parameters
@@ -164,8 +124,8 @@ def synthesize(f: SpectralField, n_points: int | None = None) -> GridField:
 
     Returns
     -------
-    GridField
-        Values ``u(x_{jl})`` on the M x M grid.
+    np.ndarray
+        Complex (M, M) values ``u(x_{jl})`` on the grid.
     """
     n = f.n_modes
     m = n if n_points is None else n_points
@@ -174,19 +134,24 @@ def synthesize(f: SpectralField, n_points: int | None = None) -> GridField:
     if m % 2 != 0:
         raise ValueError(f"target grid size must be even, got {m}")
     c = f.coeffs if m == n else embed(f, m).coeffs
-    vals = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(c))) * (m * m)
-    return GridField(m, vals)
+    return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(c))) * (m * m)
 
 
-def project(f: SpectralField, cut: CutoffSpec) -> SpectralField:
-    """Zero all coefficients outside the square frequency window.
+def project(f: SpectralField, theta: float) -> SpectralField:
+    """Zero all coefficients outside the square frequency window of theta.
 
     Keeps the coefficient at k iff ``-cutoff <= ki < cutoff`` holds for
-    both components (half-open window).  Orthogonal projection: idempotent,
-    self-adjoint, norm non-increasing.
+    both components (half-open window), with ``cutoff = theta**-0.5``.  The
+    comparison is a strict floating-point comparison against the integer
+    mode values; theta = 4/N^2 gives cutoff = N/2 exactly, so the filter is
+    then the identity on an N-mode lattice.  Orthogonal projection:
+    idempotent, self-adjoint, norm non-increasing.
     """
+    if not (theta > 0.0) or not np.isfinite(theta):
+        raise ValueError(f"theta must be a positive finite number, got {theta}")
+    cutoff = float(theta) ** -0.5
     k = mode_values(f.n_modes)
-    keep = (k >= -cut.cutoff) & (k < cut.cutoff)
+    keep = (k >= -cutoff) & (k < cutoff)
     out = np.where(keep[:, None] & keep[None, :], f.coeffs, 0.0)
     return SpectralField(f.n_modes, out)
 
@@ -230,17 +195,16 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     Reduces to :func:`l2_norm` at s = 0; a one-mode field with coefficient
     a at k has norm ``2*pi*|a|*(1 + |k|^2)**(s/2)``.
     """
-    k = mode_values(f.n_modes).astype(np.float64)
-    ksq = k[:, None] ** 2 + k[None, :] ** 2
+    ksq = mode_ksq(f.n_modes)
     total = float(np.sum((1.0 + ksq) ** s * (f.coeffs.real**2 + f.coeffs.imag**2)))
     return 2.0 * np.pi * float(np.sqrt(total))
 
 
-def l2h_norm(grid: GridField) -> float:
+def l2h_norm(values: np.ndarray) -> float:
     """Discrete l2 norm of grid samples, ``(h^2 * sum |v_{jl}|^2)**0.5``.
 
-    With the 2*pi factor of the torus measure, ``2*pi*l2h_norm`` is the
-    rectangle-rule quadrature of the L2 norm, exact for band-limited fields
-    sampled without aliasing.
+    ``h = 1/N`` is the mesh weight of the N x N grid.  With the 2*pi factor
+    of the torus measure, ``2*pi*l2h_norm`` is the rectangle-rule quadrature
+    of the L2 norm, exact for band-limited fields sampled without aliasing.
     """
-    return float(np.sqrt(np.vdot(grid.values, grid.values).real)) / grid.n_points
+    return float(np.sqrt(np.vdot(values, values).real)) / len(values)

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import snapshot
-from .spectral import CutoffSpec, SpectralField, mode_values, project
+from .spectral import SpectralField, mode_ksq, project
 
 __all__ = [
     "SCHEME_VERSION",
@@ -106,18 +106,12 @@ class SchemeParams:
     def n_steps(self) -> int:
         return self._n_steps
 
-    @property
-    def cutoff(self) -> CutoffSpec:
-        return CutoffSpec(self.theta)
-
 
 @lru_cache(maxsize=64)
 def _free_phase(n_modes: int, t: float) -> np.ndarray:
     # exp(-i*t*|k|^2) on the centered lattice; cached because evolve and the
     # space-time transforms reuse the same (n, t) pairs call after call.
-    k = mode_values(n_modes).astype(np.float64)
-    ksq = k[:, None] ** 2 + k[None, :] ** 2
-    return np.exp(-1j * t * ksq)
+    return np.exp(-1j * t * mode_ksq(n_modes))
 
 
 def free_flow(f: SpectralField, t: float) -> SpectralField:
@@ -164,9 +158,9 @@ def evolve(
     n = params.n_modes
     if u0.n_modes != n:
         raise ValueError(f"field lattice {u0.n_modes} does not match params.n_modes {n}")
-    cut = params.cutoff
-    c = np.fft.ifftshift(project(u0, cut).coeffs)
-    prop = np.fft.ifftshift(project(SpectralField(n, _free_phase(n, params.tau)), cut).coeffs)
+    theta = params.theta
+    c = np.fft.ifftshift(project(u0, theta).coeffs)
+    prop = np.fft.ifftshift(project(SpectralField(n, _free_phase(n, params.tau)), theta).coeffs)
     angle = np.empty((n, n))
     phase = np.empty((n, n), dtype=np.complex128)
     n_steps = params.n_steps

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from nls2d.bourgain import Trajectory, time_space_transform
-from nls2d.spectral import GridField, SpectralField, dft_forward, project, synthesize
+from nls2d.spectral import SpectralField, dft_forward, project, synthesize
 from nls2d.splitting import SchemeParams, free_flow
 
 
@@ -47,10 +47,10 @@ def naive_synthesize(coeffs: np.ndarray, n: int, m: int) -> np.ndarray:
     return out
 
 
-def quadrature_l2(grid: GridField) -> float:
-    """Rectangle-rule L2 norm of grid samples over the torus."""
-    cell = (2.0 * np.pi / grid.n_points) ** 2
-    return float(np.sqrt(cell * np.sum(np.abs(grid.values) ** 2)))
+def quadrature_l2(values: np.ndarray) -> float:
+    """Rectangle-rule L2 norm of (N, N) grid samples over the torus."""
+    cell = (2.0 * np.pi / len(values)) ** 2
+    return float(np.sqrt(cell * np.sum(np.abs(values) ** 2)))
 
 
 def plane_wave(n: int, amplitude: complex, k: tuple[int, int]) -> SpectralField:
@@ -65,22 +65,20 @@ def plane_wave_solution(amplitude: complex, k: tuple[int, int], mu: int, t: floa
     return amplitude * np.exp(1j * (mu * abs(amplitude) ** 2 - ksq) * t)
 
 
-def nonlinear_phase(grid: GridField, tau: float, mu: int) -> GridField:
+def nonlinear_phase(v: np.ndarray, tau: float, mu: int) -> np.ndarray:
     """Exact pointwise flow of the cubic nonlinearity over one step.
 
-    Maps each sample v to ``exp(i*mu*tau*|v|^2) * v``; every modulus |v| is
-    unchanged, so the grid l2 norm is preserved exactly.
+    Maps each grid sample v to ``exp(i*mu*tau*|v|^2) * v``; every modulus
+    |v| is unchanged, so the grid l2 norm is preserved exactly.
     """
-    v = grid.values
     absq = v.real**2 + v.imag**2
-    return GridField(grid.n_points, np.exp(1j * (mu * tau) * absq) * v)
+    return np.exp(1j * (mu * tau) * absq) * v
 
 
 def composed_lie_step(f: SpectralField, params: SchemeParams) -> SpectralField:
     """One filtered Lie step: filter, grid nonlinearity, interpolate, filter, free flow."""
-    cut = params.cutoff
-    w = nonlinear_phase(synthesize(project(f, cut)), params.tau, params.mu)
-    return free_flow(project(dft_forward(w), cut), params.tau)
+    w = nonlinear_phase(synthesize(project(f, params.theta)), params.tau, params.mu)
+    return free_flow(project(dft_forward(w), params.theta), params.tau)
 
 
 def brute_force_bourgain_norm(tr, s: float, b: float) -> float:

@@ -31,8 +31,6 @@ from nls2d.harness import (
 )
 from nls2d.roughdata import RoughDataSpec, generate
 from nls2d.spectral import (
-    CutoffSpec,
-    GridField,
     SpectralField,
     dft_forward,
     l2_norm,
@@ -82,7 +80,7 @@ def test_criterion_01_transform_matches_direct_sum():
         for n in (4, 8, 16):
             for _ in range(50):
                 values = _random_grid(n)
-                fast = dft_forward(GridField(n, values)).coeffs
+                fast = dft_forward(values).coeffs
                 slow = naive_dft(values, n)
                 worst = max(worst, float(np.abs(fast - slow).max()))
         info["max_abs_dev"] = f"{worst:.3e}"
@@ -94,7 +92,7 @@ def test_criterion_02_discrete_parseval():
         worst = 0.0
         for n in (8, 64):
             for _ in range(100):
-                grid = GridField(n, _random_grid(n))
+                grid = _random_grid(n)
                 lhs = n * n * float(np.sqrt(np.sum(np.abs(dft_forward(grid).coeffs) ** 2)))
                 rhs = n * n * l2h_norm(grid)
                 worst = max(worst, abs(lhs - rhs) / rhs)
@@ -110,7 +108,7 @@ def test_criterion_03_interpolation_fixes_filtered_fields():
             for theta in (4.0 / n**2, 12.0 / n**2, 1.0):
                 assert theta >= 4.0 / n**2
                 for _ in range(10):
-                    filtered = project(_random_field(n), CutoffSpec(theta))
+                    filtered = project(_random_field(n), theta)
                     back = dft_forward(synthesize(filtered))
                     worst = max(worst, float(np.abs(back.coeffs - filtered.coeffs).max()))
         info["max_abs_dev"] = f"{worst:.3e}"

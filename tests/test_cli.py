@@ -159,6 +159,16 @@ workers = 2
         assert not (tmp_path / "ignored").exists()
         assert "ref K=32 tau=" in text
 
+    @pytest.mark.parametrize("alternates", ["64", "16:2^-10"])
+    def test_bad_sensitivity_exits_2_before_sweep(self, tmp_path, capsys, alternates):
+        """Alternative references are validated before the main sweep runs."""
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(self.CONFIG.format(out=tmp_path / "out", cache=tmp_path / "cache"))
+        code = main(["converge", "--config", str(cfg), "--reference-sensitivity", alternates])
+        assert code == EXIT_INVALID
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "records.csv").exists()
+
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "study.cfg"
         cfg.write_text("nonsense = 1\n")

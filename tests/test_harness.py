@@ -93,7 +93,8 @@ class TestConfigValidation:
             (dict(s_values=(1.0, 1.0)), "duplicates"),
             (dict(tau_list=(0.3,)), "powers of two"),
             (dict(tau_list=(2.0**-4, 2.0**-4)), "duplicates"),
-            (dict(t_final=0.3), "not a positive integer multiple"),
+            (dict(t_final=0.3), "integer multiple"),
+            (dict(t_final=0.0), "T must be"),
             (dict(reference=ReferenceSpec(64, 2.0**-8)), "min\\(tau_list\\)/16"),
             (dict(seeds=()), "nonempty"),
             (dict(seeds=(3, 3)), "duplicates"),
@@ -161,43 +162,43 @@ class TestErrorMeasure:
 
 
 class TestReference:
-    SPEC = RoughDataSpec(s=1.0, seed=3, n_modes=16)
+    DATUM = generate(RoughDataSpec(s=1.0, seed=3, n_modes=16))
 
     def test_plane_wave_datum_override(self):
         """With a plane-wave datum the reference matches the closed form."""
         datum = plane_wave(16, 0.1, (1, 2))
-        got, _ = compute_reference(self.SPEC, 2.0**-6, 0.25, mu=-1, datum=datum)
+        got, _ = compute_reference(datum, 2.0**-6, 0.25, mu=-1)
         want = plane_wave_solution(0.1, (1, 2), -1, 0.25)
         err = np.abs(got.coeffs - plane_wave(16, want, (1, 2)).coeffs).max()
         assert err <= 1e-10
 
     def test_cache_round_trip_and_no_recompute(self, tmp_path, monkeypatch):
-        first, path = compute_reference(self.SPEC, 2.0**-6, 0.25, cache_dir=tmp_path)
+        first, path = compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
         calls = []
         real = harness.evolve
         monkeypatch.setattr(harness, "evolve", lambda *a, **k: calls.append(1) or real(*a, **k))
-        second, again = compute_reference(self.SPEC, 2.0**-6, 0.25, cache_dir=tmp_path)
+        second, again = compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
         assert calls == []
         assert np.array_equal(first.coeffs, second.coeffs)
         assert again == path and path.exists()
 
     def test_corrupt_payload_recomputed(self, tmp_path, caplog):
-        first, _ = compute_reference(self.SPEC, 2.0**-6, 0.25, cache_dir=tmp_path)
+        first, _ = compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
         path = next(tmp_path.glob("ref_*.nls2"))
         blob = bytearray(path.read_bytes())
         blob[100] ^= 0xFF
         path.write_bytes(bytes(blob))
         with caplog.at_level(logging.WARNING, logger="nls2d.harness"):
-            second, _ = compute_reference(self.SPEC, 2.0**-6, 0.25, cache_dir=tmp_path)
+            second, _ = compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
         assert any("corrupt" in r.message for r in caplog.records)
         assert np.array_equal(first.coeffs, second.coeffs)
 
     def test_foreign_key_recomputed(self, tmp_path, caplog):
-        compute_reference(self.SPEC, 2.0**-6, 0.25, cache_dir=tmp_path)
+        compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
         meta = next(tmp_path.glob("ref_*.json"))
         meta.write_text(meta.read_text().replace("scheme=", "scheme=9"))
         with caplog.at_level(logging.WARNING, logger="nls2d.harness"):
-            compute_reference(self.SPEC, 2.0**-6, 0.25, cache_dir=tmp_path)
+            compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
         assert any("different run" in r.message for r in caplog.records)
 
     def test_failed_write_leaves_no_entry(self, tmp_path, monkeypatch, caplog):
@@ -212,11 +213,11 @@ class TestReference:
 
         monkeypatch.setattr(snapshot, "save_field", torn)
         with pytest.raises(OSError, match="disk full"):
-            compute_reference(self.SPEC, 2.0**-6, 0.25, cache_dir=tmp_path)
+            compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
         monkeypatch.undo()
         with caplog.at_level(logging.WARNING, logger="nls2d.harness"):
-            _, path = compute_reference(self.SPEC, 2.0**-6, 0.25, cache_dir=tmp_path)
+            _, path = compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
         assert caplog.records == []
         assert path.exists() and path.with_suffix(".json").exists()
 
@@ -229,10 +230,9 @@ class TestReference:
         """Halving the reference step moves the reference by far less than
         a coarse experiment's error (the reference stands in for the exact
         solution)."""
-        spec = RoughDataSpec(s=2.0, seed=1, n_modes=32)
-        datum = generate(spec)
-        ref_a, _ = compute_reference(spec, 2.0**-10, 0.125, datum=datum)
-        ref_b, _ = compute_reference(spec, 2.0**-11, 0.125, datum=datum)
+        datum = generate(RoughDataSpec(s=2.0, seed=1, n_modes=32))
+        ref_a, _ = compute_reference(datum, 2.0**-10, 0.125)
+        ref_b, _ = compute_reference(datum, 2.0**-11, 0.125)
         drift = l2_error(ref_a, ref_b)
 
         n = grid_for_tau(2.0**-6)
@@ -244,13 +244,12 @@ class TestReference:
     def test_matched_resolution_run_has_zero_error(self):
         """A run whose lattice, step and filter equal the reference's
         reproduces it exactly."""
-        spec = RoughDataSpec(s=1.0, seed=7, n_modes=16)
-        datum = generate(spec)
+        datum = generate(RoughDataSpec(s=1.0, seed=7, n_modes=16))
         tau = 2.0**-6
         assert grid_for_tau(tau) == 16
         theta = default_theta(tau, 16)
         assert theta == 4.0 / 16**2 == tau
-        ref, _ = compute_reference(spec, tau, 0.25, datum=datum)
+        ref, _ = compute_reference(datum, tau, 0.25)
         final = evolve(coarse_datum(datum, theta, 16),
                        SchemeParams(tau=tau, n_modes=16, mu=-1, t_final=0.25))
         assert l2_error(final, ref) == 0.0
@@ -418,6 +417,24 @@ class TestSerialization:
         paths = export(recs, tmp_path)
         assert paths[0].name == "records.csv"
         assert read_records(paths[0]) == sorted(recs, key=lambda r: r.key)
+
+    def test_failed_export_keeps_previous_files(self, tmp_path, monkeypatch):
+        """An export that dies part way leaves the last whole export in place."""
+        recs = TestFitting.synthetic(0.5)
+        export(recs, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real, rows = harness._record_row, []
+
+        def dies_halfway(rec):
+            if len(rows) == len(recs) // 2:
+                raise OSError("disk full")
+            rows.append(rec)
+            return real(rec)
+
+        monkeypatch.setattr(harness, "_record_row", dies_halfway)
+        with pytest.raises(OSError, match="disk full"):
+            export(recs, tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_export_empty_table(self, tmp_path):
         paths = export([], tmp_path)

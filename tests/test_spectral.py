@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from nls2d.spectral import (
-    CutoffSpec,
-    GridField,
     NonFiniteFieldError,
     SpectralField,
     dft_forward,
@@ -29,8 +27,8 @@ def random_field(n: int) -> SpectralField:
     return SpectralField(n, RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n)))
 
 
-def random_grid(n: int) -> GridField:
-    return GridField(n, RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n)))
+def random_grid(n: int) -> np.ndarray:
+    return RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n))
 
 
 class TestFieldTypes:
@@ -39,7 +37,7 @@ class TestFieldTypes:
         with pytest.raises(ValueError, match="even"):
             SpectralField(5, np.zeros((5, 5), dtype=complex))
         with pytest.raises(ValueError, match="even"):
-            GridField(3, np.zeros((3, 3), dtype=complex))
+            dft_forward(np.zeros((3, 3), dtype=complex))
 
     def test_tiny_size_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -57,33 +55,10 @@ class TestFieldTypes:
             SpectralField(4, bad)
         bad[1, 2] = 1j * np.inf
         with pytest.raises(NonFiniteFieldError):
-            GridField(4, bad)
-
-    def test_grid_mesh_weight(self):
-        assert GridField(8, np.zeros((8, 8), dtype=complex)).h == 1.0 / 8
+            dft_forward(bad)
 
     def test_mode_values_order(self):
         assert mode_values(4).tolist() == [-2, -1, 0, 1]
-
-
-class TestCutoffSpec:
-    def test_cutoff_is_inverse_sqrt_theta(self):
-        """Recomputing theta**-0.5 must reproduce the stored cutoff."""
-        for theta in (0.25, 2.0**-8, 3.7e-3, 1.0):
-            assert CutoffSpec(theta).cutoff == theta**-0.5
-
-    def test_lattice_identity_value(self):
-        """theta = 4/N^2 puts the cutoff exactly at N/2."""
-        for n in (4, 32, 46, 90, 128, 256):
-            assert CutoffSpec(4.0 / (n * n)).cutoff == n / 2
-
-    def test_invalid_theta(self):
-        with pytest.raises(ValueError, match="positive"):
-            CutoffSpec(0.0)
-        with pytest.raises(ValueError, match="positive"):
-            CutoffSpec(-1.0)
-        with pytest.raises(ValueError, match="positive"):
-            CutoffSpec(np.inf)
 
 
 class TestForwardTransform:
@@ -92,13 +67,13 @@ class TestForwardTransform:
         for n in (4, 8, 16):
             g = random_grid(n)
             got = dft_forward(g).coeffs
-            want = naive_dft(g.values, n)
+            want = naive_dft(g, n)
             assert np.abs(got - want).max() <= 1e-12
 
     def test_constant_grid(self):
         """A constant samples to a single coefficient at k = 0."""
         n = 4
-        c = dft_forward(GridField(n, np.full((n, n), 2.5 + 0j))).coeffs
+        c = dft_forward(np.full((n, n), 2.5 + 0j)).coeffs
         want = np.zeros((n, n), dtype=complex)
         want[n // 2, n // 2] = 2.5
         assert np.abs(c - want).max() == 0.0
@@ -108,7 +83,7 @@ class TestForwardTransform:
         n = 4
         x = 2.0 * np.pi * mode_values(n) / n
         vals = np.exp(1j * x)[:, None] * np.ones((1, n))
-        c = dft_forward(GridField(n, vals)).coeffs
+        c = dft_forward(vals).coeffs
         assert abs(c[n // 2 + 1, n // 2] - 1.0) <= 1e-15
         c[n // 2 + 1, n // 2] = 0.0
         assert np.abs(c).max() <= 1e-15
@@ -118,7 +93,7 @@ class TestForwardTransform:
         n = 8
         x = 2.0 * np.pi * mode_values(n) / n
         vals = np.exp(1j * (n // 2) * x)[:, None] * np.ones((1, n))
-        c = dft_forward(GridField(n, vals)).coeffs
+        c = dft_forward(vals).coeffs
         assert abs(c[0, n // 2] - 1.0) <= 1e-14
 
     def test_discrete_parseval(self):
@@ -134,14 +109,14 @@ class TestForwardTransform:
         """Synthesizing the interpolant reproduces the samples."""
         g = random_grid(8)
         back = synthesize(dft_forward(g))
-        assert np.abs(back.values - g.values).max() <= 1e-13
+        assert np.abs(back - g).max() <= 1e-13
 
 
 class TestSynthesize:
     def test_matches_direct_summation(self):
         for n, m in ((4, 4), (4, 8), (8, 12)):
             f = random_field(n)
-            got = synthesize(f, m).values
+            got = synthesize(f, m)
             want = naive_synthesize(f.coeffs, n, m)
             assert np.abs(got - want).max() <= 1e-11
 
@@ -171,8 +146,7 @@ class TestProject:
         """Mode k survives iff -cutoff <= k_i < cutoff, componentwise."""
         n = 8
         f = SpectralField(n, np.ones((n, n), dtype=complex))
-        cut = CutoffSpec(0.25)  # cutoff = 2
-        kept = project(f, cut).coeffs
+        kept = project(f, 0.25).coeffs  # cutoff = 2
         k = mode_values(n)
         want = ((k >= -2) & (k < 2))[:, None] & ((k >= -2) & (k < 2))[None, :]
         assert np.array_equal(kept != 0, want)
@@ -182,38 +156,41 @@ class TestProject:
 
     def test_identity_at_lattice_theta(self):
         """theta = 4/N^2 keeps every representable mode."""
-        for n in (8, 46, 90):
+        for n in (4, 8, 32, 46, 90, 128, 256):
             f = random_field(n)
-            out = project(f, CutoffSpec(4.0 / (n * n)))
+            out = project(f, 4.0 / (n * n))
             assert np.array_equal(out.coeffs, f.coeffs)
+
+    def test_invalid_theta(self):
+        f = random_field(8)
+        for theta in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive"):
+                project(f, theta)
 
     def test_idempotent(self):
         f = random_field(16)
-        cut = CutoffSpec(0.1)
-        once = project(f, cut)
-        twice = project(once, cut)
+        once = project(f, 0.1)
+        twice = project(once, 0.1)
         assert np.array_equal(once.coeffs, twice.coeffs)
 
     def test_self_adjoint(self):
         """<Pf, g> = <f, Pg> for the coefficient inner product."""
         f, g = random_field(16), random_field(16)
-        cut = CutoffSpec(0.07)
-        lhs = np.vdot(project(f, cut).coeffs, g.coeffs)
-        rhs = np.vdot(f.coeffs, project(g, cut).coeffs)
+        lhs = np.vdot(project(f, 0.07).coeffs, g.coeffs)
+        rhs = np.vdot(f.coeffs, project(g, 0.07).coeffs)
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
     def test_commutes_with_free_flow(self):
         """Both operators are frequency-diagonal."""
         f = random_field(16)
-        cut = CutoffSpec(0.05)
         t = 0.37
-        a = project(free_flow(f, t), cut).coeffs
-        b = free_flow(project(f, cut), t).coeffs
+        a = project(free_flow(f, t), 0.05).coeffs
+        b = free_flow(project(f, 0.05), t).coeffs
         assert np.abs(a - b).max() <= 1e-15
 
     def test_norm_non_increasing(self):
         f = random_field(16)
-        assert l2_norm(project(f, CutoffSpec(0.3))) <= l2_norm(f)
+        assert l2_norm(project(f, 0.3)) <= l2_norm(f)
 
 
 class TestEmbedRestrict:
@@ -280,8 +257,7 @@ class TestNorms:
         assert all(a <= b * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
 
     def test_l2h_norm(self):
-        g = GridField(4, np.full((4, 4), 2.0 + 0j))
-        assert abs(l2h_norm(g) - 2.0) <= 1e-15
+        assert abs(l2h_norm(np.full((4, 4), 2.0 + 0j)) - 2.0) <= 1e-15
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ import pytest
 
 import nls2d
 from nls2d.spectral import (
-    CutoffSpec,
     SpectralField,
     l2_norm,
     project,
@@ -139,18 +138,18 @@ class TestNonlinearPhase:
         g = synthesize(plane_wave(n, v, (0, 0)))
         out = nonlinear_phase(g, tau, mu)
         want = np.exp(1j * mu * tau * abs(v) ** 2) * v
-        assert np.abs(out.values - want).max() <= 1e-15
+        assert np.abs(out - want).max() <= 1e-15
 
     def test_modulus_preserved_pointwise(self):
         g = synthesize(random_field(16))
         out = nonlinear_phase(g, 0.25, -1)
-        assert np.abs(np.abs(out.values) - np.abs(g.values)).max() <= 1e-13
+        assert np.abs(np.abs(out) - np.abs(g)).max() <= 1e-13
 
     def test_sign_conjugates(self):
         """Flipping mu conjugates the phase factor."""
         g = synthesize(random_field(8))
-        plus = nonlinear_phase(g, 0.5, 1).values / g.values
-        minus = nonlinear_phase(g, 0.5, -1).values / g.values
+        plus = nonlinear_phase(g, 0.5, 1) / g
+        minus = nonlinear_phase(g, 0.5, -1) / g
         assert np.abs(plus - np.conj(minus)).max() <= 1e-13
 
 
@@ -180,8 +179,8 @@ class TestLieStep:
         """The output field is invariant under the step's own filter."""
         n = 16
         p = SchemeParams(tau=2.0**-3, n_modes=n, mu=-1, t_final=2.0**-3)
-        out = evolve(project(random_field(n), p.cutoff), p)
-        assert np.array_equal(project(out, p.cutoff).coeffs, out.coeffs)
+        out = evolve(project(random_field(n), p.theta), p)
+        assert np.array_equal(project(out, p.theta).coeffs, out.coeffs)
 
     def test_zero_field_fixed_point(self):
         n = 8
@@ -202,7 +201,7 @@ class TestComposedOracle:
         theta = 64.0 / n**2 if truncating else 4.0 / n**2  # cutoff N/8 or the identity
         p = SchemeParams(tau=tau, n_modes=n, mu=1, t_final=steps * tau, theta=theta)
         u0 = generate(RoughDataSpec(s=1.0, seed=n, n_modes=n, target_l2=2.0 * np.pi))
-        want = project(u0, p.cutoff)
+        want = project(u0, p.theta)
         for _ in range(steps):
             want = composed_lie_step(want, p)
         got = evolve(u0, p)
@@ -216,7 +215,7 @@ class TestEvolve:
         p = SchemeParams(tau=2.0**-3, n_modes=n, mu=-1, t_final=0.0)
         u0 = random_field(n)
         out = evolve(u0, p)
-        assert np.array_equal(out.coeffs, project(u0, p.cutoff).coeffs)
+        assert np.array_equal(out.coeffs, project(u0, p.theta).coeffs)
 
     def test_plane_wave_long_run(self):
         """1024 steps of a single mode stay on the analytic solution."""
@@ -266,7 +265,7 @@ class TestEvolve:
         seen = []
         evolve(u0, p, observer=lambda i, f: seen.append(f))
         for f in seen:
-            assert np.array_equal(project(f, p.cutoff).coeffs, f.coeffs)
+            assert np.array_equal(project(f, p.theta).coeffs, f.coeffs)
 
     def test_observer_cadence(self):
         n = 8
