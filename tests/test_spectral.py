@@ -61,6 +61,23 @@ class TestFieldTypes:
         assert mode_values(4).tolist() == [-2, -1, 0, 1]
 
 
+class TestCutoffSpec:
+    """The cutoff theta**-0.5 that project applies."""
+
+    def test_lattice_identity_value(self):
+        """theta = 4/N^2 puts the cutoff exactly at N/2.
+
+        On a lattice two modes wider, the window keeps k = -N/2 and drops
+        k = N/2 in each component; any rounding of the cutoff moves an edge.
+        """
+        for n in (4, 32, 46, 90, 128, 256):
+            m = n + 2
+            kept = project(SpectralField(m, np.ones((m, m), dtype=complex)), 4.0 / (n * n))
+            k = mode_values(m)
+            inside = (k >= -n // 2) & (k < n // 2)
+            assert np.array_equal(kept.coeffs != 0, inside[:, None] & inside[None, :])
+
+
 class TestForwardTransform:
     def test_matches_direct_summation(self):
         """FFT path agrees with the O(N^4) direct sum."""
