@@ -57,7 +57,6 @@ __all__ = [
     "coarse_datum",
     "run_study",
     "sensitivity_configs",
-    "run_reference_sensitivity",
     "fit_order",
     "fit_xy",
     "median_curve",
@@ -491,27 +490,17 @@ def sensitivity_configs(
 ) -> dict[ReferenceSpec, StudyConfig]:
     """The study of each alternative reference, under ``output_dir/ref_K{n}_tau{tau}/``.
 
-    Building the configs validates every alternative, so a bad one is
-    rejected before any sweep runs.
+    Qualitative tool: running each with :func:`run_study` repeats the sweep
+    against another reference resolution, and an under-resolved reference
+    contaminates the small-theta end of the error curve and flattens the
+    fitted order.  Building the configs validates every alternative, so a
+    bad one is rejected before any sweep runs.
     """
     return {
         ref: replace(cfg, reference=ref,
                      output_dir=cfg.output_dir / f"ref_K{ref.n_modes}_tau{ref.tau:g}")
         for ref in alternates
     }
-
-
-def run_reference_sensitivity(
-    cfg: StudyConfig, alternates: Sequence[ReferenceSpec]
-) -> dict[ReferenceSpec, list[ConvergenceRecord]]:
-    """Repeat the sweep against alternative reference resolutions.
-
-    Qualitative tool: an under-resolved reference contaminates the small-
-    theta end of the error curve and flattens the fitted order.  Every
-    alternative is validated before the first sweep; each writes records
-    under ``output_dir/ref_K{n}_tau{tau}/``.
-    """
-    return {ref: run_study(sub) for ref, sub in sensitivity_configs(cfg, alternates).items()}
 
 
 # ---------------------------------------------------------------------------

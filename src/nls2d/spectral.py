@@ -207,4 +207,6 @@ def l2h_norm(values: np.ndarray) -> float:
     of the torus measure, ``2*pi*l2h_norm`` is the rectangle-rule quadrature
     of the L2 norm, exact for band-limited fields sampled without aliasing.
     """
+    values = np.asarray(values, dtype=np.complex128)
+    _validate_square(values, len(values), "grid value")
     return float(np.sqrt(np.vdot(values, values).real)) / len(values)

@@ -29,8 +29,8 @@ from nls2d.harness import (
     read_plot_data,
     read_records,
     reference_cache_path,
-    run_reference_sensitivity,
     run_study,
+    sensitivity_configs,
 )
 from nls2d.roughdata import RoughDataSpec, generate
 from nls2d.spectral import SpectralField, embed, synthesize
@@ -353,11 +353,13 @@ class TestRunStudy:
     def test_reference_sensitivity_writes_subdirs(self, mini_study):
         cfg, records = mini_study
         alt = ReferenceSpec(32, 2.0**-10)
-        out = run_reference_sensitivity(cfg, [alt])
-        assert set(out) == {alt}
+        configs = sensitivity_configs(cfg, [alt])
+        assert set(configs) == {alt}
         sub = cfg.output_dir / f"ref_K32_tau{2.0 ** -10:g}"
+        assert configs[alt].output_dir == sub and configs[alt].reference == alt
+        out = run_study(configs[alt])
         assert (sub / "records.csv").exists()
-        assert len(out[alt]) == len(records)
+        assert len(out) == len(records)
 
 
 class TestFitting:

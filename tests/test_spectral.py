@@ -275,6 +275,10 @@ class TestNorms:
 
     def test_l2h_norm(self):
         assert abs(l2h_norm(np.full((4, 4), 2.0 + 0j)) - 2.0) <= 1e-15
+        with pytest.raises(ValueError, match="shape"):
+            l2h_norm(np.ones((4, 2), dtype=complex))
+        with pytest.raises(NonFiniteFieldError):
+            l2h_norm(np.full((4, 4), np.nan + 0j))
 
 
 if __name__ == "__main__":
