@@ -1,7 +1,9 @@
 """Discrete space-time norms and estimate probes for solver trajectories.
 
 A trajectory is a finite window of M spectral snapshots taken every tau,
-extended by zero outside the window.  Its time-space transform is
+held as one complex (M, N, N) coefficient stack and extended by zero
+outside the window.  Every functional below evaluates the whole stack with
+array operations, not one snapshot at a time.  Its time-space transform is
 
     F(sigma, k) = tau * sum_{m=0}^{M-1} c_m(k) * exp(i*m*tau*sigma),
 
@@ -23,7 +25,7 @@ weights are >= 1 and increasing in both s and b, so the norm is monotone in
 (s, b); it is absolutely 1-homogeneous in the trajectory.
 
 The transform window is the trajectory length M; to extend the window by
-zeros, append zero snapshots to the trajectory.  Window length matters:
+zeros, append zero slices to the stack.  Window length matters:
 the zero extension introduces edge transitions whose weighted content
 grows with b, so comparisons across window lengths are only meaningful at
 fixed M.  All probe sweeps here hold M fixed while tau varies.
@@ -39,8 +41,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .roughdata import RoughDataSpec, generate, uniform_block
-from .spectral import SpectralField, l2_norm, mode_ksq, project, sobolev_norm, synthesize
-from .splitting import free_flow
+from .snapshot import staged
+from .spectral import _validate_square, mode_ksq, project_array, synthesize_array
+from .splitting import _free_phase
 
 __all__ = [
     "Trajectory",
@@ -61,33 +64,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots u_0 .. u_{M-1} taken every tau, all on one lattice."""
+    """Snapshots u_0 .. u_{M-1} taken every tau, as one complex (M, N, N) stack."""
 
     tau: float
-    fields: tuple[SpectralField, ...]
+    coeffs: np.ndarray
 
     def __post_init__(self) -> None:
         if not (self.tau > 0.0) or not np.isfinite(self.tau):
             raise ValueError(f"tau must be a positive finite number, got {self.tau}")
-        fields = tuple(self.fields)
-        if len(fields) < 1:
-            raise ValueError("a trajectory needs at least one snapshot")
-        n = fields[0].n_modes
-        if any(f.n_modes != n for f in fields):
-            raise ValueError("all snapshots must share one lattice size")
-        object.__setattr__(self, "fields", fields)
+        arr = np.asarray(self.coeffs, dtype=np.complex128)
+        if arr.ndim != 3 or len(arr) < 1:
+            raise ValueError(f"a trajectory needs an (M, N, N) stack with M >= 1, got {arr.shape}")
+        _validate_square(arr, arr.shape[-1], "trajectory", arr.shape[:1])
+        object.__setattr__(self, "coeffs", arr)
 
     @property
     def n_modes(self) -> int:
-        return self.fields[0].n_modes
+        return self.coeffs.shape[-1]
 
     def __len__(self) -> int:
-        return len(self.fields)
+        return len(self.coeffs)
 
     def scaled(self, factor: complex) -> "Trajectory":
-        return Trajectory(self.tau, tuple(
-            SpectralField(f.n_modes, factor * f.coeffs) for f in self.fields
-        ))
+        return Trajectory(self.tau, factor * self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -112,11 +111,7 @@ def time_space_transform(tr: Trajectory) -> TimeSpaceTransform:
     trajectory transforms to the constant ``tau * c_0(k)`` in sigma.
     """
     window = len(tr)
-    n = tr.n_modes
-    stack = np.zeros((window, n, n), dtype=np.complex128)
-    for i, f in enumerate(tr.fields):
-        stack[i] = f.coeffs
-    vals = np.fft.ifft(stack, axis=0) * (tr.tau * window)
+    vals = np.fft.ifft(tr.coeffs, axis=0) * (tr.tau * window)
     return TimeSpaceTransform(tr.tau, _sigma_grid(window, tr.tau), np.fft.fftshift(vals, axes=0))
 
 
@@ -139,12 +134,13 @@ def bourgain_norm(tr: Trajectory, s: float, b: float) -> float:
 
 def trajectory_l2(tr: Trajectory) -> float:
     """Step-weighted l2-in-time, L2-in-space norm."""
-    return float(np.sqrt(tr.tau * sum(l2_norm(f) ** 2 for f in tr.fields)))
+    return 2.0 * np.pi * float(np.sqrt(tr.tau * np.sum(tr.coeffs.real**2 + tr.coeffs.imag**2)))
 
 
 def trajectory_sup_sobolev(tr: Trajectory, s: float) -> float:
-    """Largest H^s norm over the window."""
-    return max(sobolev_norm(f, s) for f in tr.fields)
+    """Largest H^s norm (``spectral.sobolev_norm``) over the window."""
+    x = (1.0 + mode_ksq(tr.n_modes)) ** s * (tr.coeffs.real**2 + tr.coeffs.imag**2)
+    return 2.0 * np.pi * float(np.sqrt(np.sum(x.reshape(len(x), -1), axis=1).max()))
 
 
 def trajectory_l4(tr: Trajectory) -> float:
@@ -153,12 +149,12 @@ def trajectory_l4(tr: Trajectory) -> float:
     Each spatial integral uses quadrature on a doubled grid, which is exact
     for the quartic product of band-limited snapshots.
     """
+    g = synthesize_array(tr.coeffs, 2 * tr.n_modes)
+    v = g.real**2 + g.imag**2
+    cell = (2.0 * np.pi / g.shape[-1]) ** 2
     total = 0.0
-    for f in tr.fields:
-        g = synthesize(f, 2 * f.n_modes)
-        v = g.real**2 + g.imag**2
-        cell = (2.0 * np.pi / len(g)) ** 2
-        total += cell * float(np.sum(v * v))
+    for q in np.sum((v * v).reshape(len(v), -1), axis=1):  # each slice's np.sum, bit for bit
+        total += cell * float(q)
     return float((tr.tau * total) ** 0.25)
 
 
@@ -223,8 +219,7 @@ def estimate_probe(
             lhs = trajectory_sup_sobolev(tr, s)
             rhs = bourgain_norm(tr, s, b)
         else:
-            filtered = Trajectory(tr.tau, tuple(project(f, tr.tau) for f in tr.fields))
-            lhs = trajectory_l4(filtered)
+            lhs = trajectory_l4(Trajectory(tr.tau, project_array(tr.coeffs, tr.tau)))
             rhs = bourgain_norm(tr, s / 2.0, 1.0 - b)
         if rhs == 0.0:
             if lhs == 0.0:
@@ -269,24 +264,21 @@ def probe_ensemble(
     for i in range(count):
         seed = seed0 + i
         base = seed * 1_000_003
+        stack = np.empty((window, n_modes, n_modes), dtype=np.complex128)
         if i % 2 == 0:
-            fields = tuple(
-                generate(RoughDataSpec(s=1.0, seed=base + m, n_modes=n_modes))
-                for m in range(window)
-            )
+            for m in range(window):
+                stack[m] = generate(RoughDataSpec(s=1.0, seed=base + m, n_modes=n_modes)).coeffs
         else:
-            v = generate(RoughDataSpec(s=1.0, seed=base, n_modes=n_modes))
+            v = generate(RoughDataSpec(s=1.0, seed=base, n_modes=n_modes)).coeffs
             env = _envelope(base + 7, window)
-            fields = tuple(
-                SpectralField(n_modes, env[m] * free_flow(v, m * tau).coeffs)
-                for m in range(window)
-            )
-        yield seed, Trajectory(tau, fields)
+            for m in range(window):
+                stack[m] = env[m] * (v * _free_phase(n_modes, m * tau))
+        yield seed, Trajectory(tau, stack)
 
 
 def write_probe_report(results: Sequence[ProbeResult], path: str | Path) -> None:
     """Write probe rows as CSV: estimate_id, tau, seed, lhs, rhs, ratio."""
-    with open(path, "w", newline="") as fh:
+    with staged(Path(path)) as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["estimate_id", "tau", "seed", "lhs", "rhs", "ratio"])
         for result in results:

@@ -21,14 +21,12 @@ import hashlib
 import json
 import logging
 import math
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -238,21 +236,6 @@ def _reference_key(u0: SpectralField, tau_ref: float, t_final: float, mu: int) -
     ])
 
 
-@contextmanager
-def _staged(path: Path) -> Iterator[Path]:
-    """A temp path beside ``path``, moved onto it with ``os.replace`` on success.
-
-    Readers of ``path`` see the old file or the whole new one, never a
-    partial write, and a failed write leaves no file behind.
-    """
-    tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def reference_cache_path(cache_dir: str | Path, key: str) -> Path:
     digest = hashlib.sha256(key.encode()).hexdigest()
     return Path(cache_dir) / f"ref_{digest[:32]}.nls2"
@@ -309,10 +292,10 @@ def compute_reference(
     final = evolve(u0, params)
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with _staged(path) as tmp:
+        with snapshot.staged(path) as tmp:
             snapshot.save_field(final, tmp)
             meta = {"key": key, "payload_sha256": hashlib.sha256(tmp.read_bytes()).hexdigest()}
-        with _staged(path.with_suffix(".json")) as tmp:
+        with snapshot.staged(path.with_suffix(".json")) as tmp:
             tmp.write_text(json.dumps(meta, indent=2))
     return final, path
 
@@ -413,7 +396,7 @@ def _claim_output_dir(cfg: StudyConfig, resuming: bool) -> None:
         if differ:
             raise ValueError(f"{cfg.output_dir} holds records of a different study "
                              f"(differing: {', '.join(differ)}); use a new output_dir")
-    with _staged(path) as tmp:
+    with snapshot.staged(path) as tmp:
         tmp.write_text(json.dumps(want, indent=2) + "\n")
 
 
@@ -564,7 +547,7 @@ def export(records: Sequence[ConvergenceRecord], out_dir: str | Path) -> list[Pa
     out_dir.mkdir(parents=True, exist_ok=True)
     ordered = sorted(records, key=lambda r: r.key)
     paths = [out_dir / "records.csv"]
-    with _staged(paths[0]) as tmp, open(tmp, "w", newline="") as fh:
+    with snapshot.staged(paths[0]) as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RECORD_COLUMNS)
         for rec in ordered:
@@ -572,7 +555,7 @@ def export(records: Sequence[ConvergenceRecord], out_dir: str | Path) -> list[Pa
     for s in sorted({r.s for r in ordered}):
         path = out_dir / f"plot_s{s:g}.csv"
         x, y = median_curve([r for r in ordered if r.s == s])
-        with _staged(path) as tmp, open(tmp, "w", newline="") as fh:
+        with snapshot.staged(path) as tmp, open(tmp, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["log2_theta", "log2_median_error"])
             for xi, yi in zip(x, y):

@@ -14,18 +14,37 @@ offset 12         N*N coefficients, complex128 as (re, im) pairs of
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .spectral import SpectralField
 
-__all__ = ["MAGIC", "FORMAT_VERSION", "save_field", "load_field"]
+__all__ = ["MAGIC", "FORMAT_VERSION", "save_field", "load_field", "staged"]
 
 MAGIC = b"NLS2"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sII")
+
+
+@contextmanager
+def staged(path: Path) -> Iterator[Path]:
+    """A temp path beside ``path``, moved onto it with ``os.replace`` on success.
+
+    Readers of ``path`` see the old file or the whole new one, never a
+    partial write, and a failed write leaves no file behind.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def save_field(f: SpectralField, path: str | Path) -> None:

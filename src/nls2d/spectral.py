@@ -30,7 +30,9 @@ __all__ = [
     "mode_ksq",
     "dft_forward",
     "synthesize",
+    "synthesize_array",
     "project",
+    "project_array",
     "embed",
     "restrict",
     "l2_norm",
@@ -43,11 +45,11 @@ class NonFiniteFieldError(ValueError):
     """Raised when a field would store NaN or Inf values."""
 
 
-def _validate_square(arr: np.ndarray, n: int, what: str) -> None:
+def _validate_square(arr: np.ndarray, n: int, what: str, lead: tuple[int, ...] = ()) -> None:
     if n < 2 or n % 2 != 0:
         raise ValueError(f"{what} size must be an even integer >= 2, got {n}")
-    if arr.shape != (n, n):
-        raise ValueError(f"{what} array must have shape ({n}, {n}), got {arr.shape}")
+    if arr.shape != (*lead, n, n):
+        raise ValueError(f"{what} array must have shape {(*lead, n, n)}, got {arr.shape}")
     if not np.isfinite(arr.real).all() or not np.isfinite(arr.imag).all():
         raise NonFiniteFieldError(f"{what} contains non-finite values")
 
@@ -127,14 +129,19 @@ def synthesize(f: SpectralField, n_points: int | None = None) -> np.ndarray:
     np.ndarray
         Complex (M, M) values ``u(x_{jl})`` on the grid.
     """
-    n = f.n_modes
+    return synthesize_array(f.coeffs, n_points)
+
+
+def synthesize_array(coeffs: np.ndarray, n_points: int | None = None) -> np.ndarray:
+    """:func:`synthesize` over the last two axes of a (..., N, N) coefficient array."""
+    n = coeffs.shape[-1]
     m = n if n_points is None else n_points
     if m < n:
         raise ValueError(f"target grid {m} is coarser than the mode lattice {n}")
     if m % 2 != 0:
         raise ValueError(f"target grid size must be even, got {m}")
-    c = f.coeffs if m == n else embed(f, m).coeffs
-    return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(c))) * (m * m)
+    c = coeffs if m == n else _zero_pad(coeffs, m)
+    return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(c, (-2, -1))), (-2, -1)) * (m * m)
 
 
 def project(f: SpectralField, theta: float) -> SpectralField:
@@ -147,13 +154,24 @@ def project(f: SpectralField, theta: float) -> SpectralField:
     then the identity on an N-mode lattice.  Orthogonal projection:
     idempotent, self-adjoint, norm non-increasing.
     """
+    return SpectralField(f.n_modes, project_array(f.coeffs, theta))
+
+
+def project_array(coeffs: np.ndarray, theta: float) -> np.ndarray:
+    """:func:`project` over the last two axes of a (..., N, N) coefficient array."""
     if not (theta > 0.0) or not np.isfinite(theta):
         raise ValueError(f"theta must be a positive finite number, got {theta}")
     cutoff = float(theta) ** -0.5
-    k = mode_values(f.n_modes)
+    k = mode_values(coeffs.shape[-1])
     keep = (k >= -cutoff) & (k < cutoff)
-    out = np.where(keep[:, None] & keep[None, :], f.coeffs, 0.0)
-    return SpectralField(f.n_modes, out)
+    return np.where(keep[:, None] & keep[None, :], coeffs, 0.0)
+
+
+def _zero_pad(coeffs: np.ndarray, m: int) -> np.ndarray:
+    out = np.zeros((*coeffs.shape[:-2], m, m), dtype=np.complex128)
+    lo = (m - coeffs.shape[-1]) // 2
+    out[..., lo : m - lo, lo : m - lo] = coeffs
+    return out
 
 
 def embed(f: SpectralField, n_modes: int) -> SpectralField:
@@ -163,10 +181,7 @@ def embed(f: SpectralField, n_modes: int) -> SpectralField:
         raise ValueError(f"cannot embed lattice {n} into smaller lattice {m}")
     if m % 2 != 0:
         raise ValueError(f"target lattice size must be even, got {m}")
-    out = np.zeros((m, m), dtype=np.complex128)
-    lo = m // 2 - n // 2
-    out[lo : lo + n, lo : lo + n] = f.coeffs
-    return SpectralField(m, out)
+    return SpectralField(m, _zero_pad(f.coeffs, m))
 
 
 def restrict(f: SpectralField, n_modes: int) -> SpectralField:

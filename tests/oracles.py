@@ -1,23 +1,28 @@
 """Independent slow-path oracles used across the test suite.
 
-Everything here except :func:`composed_lie_step` and
-:func:`twisted_bourgain_norm` is written against the documented definitions
-with direct summation only: no FFT, no shared code paths with the package
-internals beyond the field containers.
+Everything here except :func:`composed_lie_step`,
+:func:`twisted_bourgain_norm` and the ``snapshot_*`` functions is written
+against the documented definitions with direct summation only: no FFT, no
+shared code paths with the package internals beyond the field containers.
 
-Those two are built from the package's public transforms instead.
+Those are built from the package's single-field functions instead
+(``snapshot_ensemble`` also reuses the private ``bourgain._envelope``).
 :func:`composed_lie_step` composes the filtered Lie step stage by stage, as
 the scheme is written down, to check the fused loop in ``evolve``;
 :func:`twisted_bourgain_norm` is an equivalent form of ``bourgain_norm``
-used to cross-check it.
+used to cross-check it.  The ``snapshot_*`` functions evaluate the
+trajectory functionals one ``SpectralField`` at a time, straight from the
+single-field definitions; the stacked code in ``bourgain`` must reproduce
+them bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from nls2d.bourgain import Trajectory, time_space_transform
-from nls2d.spectral import SpectralField, dft_forward, project, synthesize
+from nls2d.bourgain import ProbeRow, Trajectory, _envelope, bourgain_norm, time_space_transform
+from nls2d.roughdata import RoughDataSpec, generate
+from nls2d.spectral import SpectralField, dft_forward, project, sobolev_norm, synthesize
 from nls2d.splitting import SchemeParams, free_flow
 
 
@@ -83,7 +88,7 @@ def composed_lie_step(f: SpectralField, params: SchemeParams) -> SpectralField:
 
 def brute_force_bourgain_norm(tr, s: float, b: float) -> float:
     """Direct summation of the weighted space-time norm definition."""
-    m = len(tr.fields)
+    m = len(tr)
     n = tr.n_modes
     tau = tr.tau
     k = centered_indices(n).astype(np.float64)
@@ -93,7 +98,7 @@ def brute_force_bourgain_norm(tr, s: float, b: float) -> float:
         sigma = 2.0 * np.pi * mp / (m * tau)
         transform = np.zeros((n, n), dtype=np.complex128)
         for idx in range(m):
-            transform += tr.fields[idx].coeffs * np.exp(1j * idx * tau * sigma)
+            transform += tr.coeffs[idx] * np.exp(1j * idx * tau * sigma)
         transform *= tau
         dsq = 4.0 * np.sin(0.5 * tau * (sigma - ksq)) ** 2 / tau**2
         weight = (1.0 + ksq) ** s * (1.0 + dsq) ** b
@@ -112,7 +117,9 @@ def twisted_bourgain_norm(tr: Trajectory, s: float, b: float) -> float:
     b = 0.
     """
     tau = tr.tau
-    twisted = Trajectory(tau, tuple(free_flow(f, -m * tau) for m, f in enumerate(tr.fields)))
+    twisted = Trajectory(tau, np.stack([
+        free_flow(f, -m * tau).coeffs for m, f in enumerate(snapshot_fields(tr))
+    ]))
     t = time_space_transform(twisted)
     k = centered_indices(tr.n_modes).astype(np.float64)
     ksq = k[:, None] ** 2 + k[None, :] ** 2
@@ -120,6 +127,61 @@ def twisted_bourgain_norm(tr: Trajectory, s: float, b: float) -> float:
     weight = (1.0 + ksq[None, :, :]) ** s * (1.0 + dsq[:, None, None]) ** b
     dsigma = 2.0 * np.pi / (len(t.sigmas) * tau)
     return float(np.sqrt(2.0 * np.pi * dsigma * np.sum(weight * np.abs(t.values) ** 2)))
+
+
+def snapshot_fields(tr: Trajectory) -> list[SpectralField]:
+    """The snapshots of a trajectory as separate validated fields."""
+    return [SpectralField(tr.n_modes, c) for c in tr.coeffs]
+
+
+def snapshot_ensemble(count: int, tau: float, n_modes: int, window: int, seed0: int = 0):
+    """``probe_ensemble`` built one field at a time through ``free_flow``."""
+    for i in range(count):
+        seed = seed0 + i
+        base = seed * 1_000_003
+        if i % 2 == 0:
+            fields = [generate(RoughDataSpec(s=1.0, seed=base + m, n_modes=n_modes))
+                      for m in range(window)]
+        else:
+            v = generate(RoughDataSpec(s=1.0, seed=base, n_modes=n_modes))
+            env = _envelope(base + 7, window)
+            fields = [SpectralField(n_modes, env[m] * free_flow(v, m * tau).coeffs)
+                      for m in range(window)]
+        yield seed, Trajectory(tau, np.stack([f.coeffs for f in fields]))
+
+
+def snapshot_sup_sobolev(tr: Trajectory, s: float) -> float:
+    """The largest ``sobolev_norm`` over the snapshots."""
+    return max(sobolev_norm(f, s) for f in snapshot_fields(tr))
+
+
+def snapshot_l4(tr: Trajectory) -> float:
+    """l4-in-time L4 norm: doubled-grid ``synthesize`` quadrature per snapshot."""
+    total = 0.0
+    for f in snapshot_fields(tr):
+        g = synthesize(f, 2 * f.n_modes)
+        v = g.real**2 + g.imag**2
+        cell = (2.0 * np.pi / len(g)) ** 2
+        total += cell * float(np.sum(v * v))
+    return float((tr.tau * total) ** 0.25)
+
+
+def snapshot_project(tr: Trajectory, theta: float) -> Trajectory:
+    """The trajectory with ``project`` applied to each snapshot."""
+    return Trajectory(tr.tau, np.stack([project(f, theta).coeffs for f in snapshot_fields(tr)]))
+
+
+def snapshot_probe_rows(trajectories, estimate_id: str, s: float = 1.0, b: float = 0.6):
+    """``estimate_probe`` rows with each lhs from the per-snapshot oracles above."""
+    rows = []
+    for seed, tr in trajectories:
+        if estimate_id == "embedding_inf_Hs":
+            lhs, rhs = snapshot_sup_sobolev(tr, s), bourgain_norm(tr, s, b)
+        else:
+            lhs = snapshot_l4(snapshot_project(tr, tr.tau))
+            rhs = bourgain_norm(tr, s / 2.0, 1.0 - b)
+        rows.append(ProbeRow(estimate_id, tr.tau, seed, lhs, rhs, lhs / rhs))
+    return tuple(rows)
 
 
 def splitmix64_reference(seed: int, count: int) -> list[float]:

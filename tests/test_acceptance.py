@@ -254,7 +254,7 @@ def test_criterion_08_spacetime_norm_reductions():
         worst_flat = worst_hom = 0.0
         lo, hi_s, hi_b = (0.5, 0.25), (1.5, 0.25), (0.5, 0.75)
         for _ in range(100):
-            tr = Trajectory(0.25, tuple(_random_field(8) for _ in range(6)))
+            tr = Trajectory(0.25, np.stack([_random_field(8).coeffs for _ in range(6)]))
             flat = bourgain_norm(tr, 0.0, 0.0)
             worst_flat = max(worst_flat, abs(flat - trajectory_l2(tr)) / trajectory_l2(tr))
             base = bourgain_norm(tr, *lo)

@@ -18,49 +18,69 @@ from nls2d.bourgain import (
     write_probe_report,
 )
 from nls2d.roughdata import RoughDataSpec, generate
-from nls2d.spectral import SpectralField, sobolev_norm
+from nls2d.spectral import NonFiniteFieldError, l2_norm, project_array, sobolev_norm
 from nls2d.splitting import free_flow
 
-from oracles import brute_force_bourgain_norm, plane_wave, twisted_bourgain_norm
+from oracles import (
+    brute_force_bourgain_norm,
+    plane_wave,
+    snapshot_ensemble,
+    snapshot_fields,
+    snapshot_l4,
+    snapshot_probe_rows,
+    snapshot_project,
+    snapshot_sup_sobolev,
+    twisted_bourgain_norm,
+)
 
 RNG = np.random.default_rng(2203)
 
 
 def random_trajectory(tau: float, n: int, m: int) -> Trajectory:
-    fields = tuple(
-        SpectralField(n, RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n)))
-        for _ in range(m)
-    )
-    return Trajectory(tau, fields)
+    return Trajectory(tau, np.stack([
+        RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n)) for _ in range(m)
+    ]))
 
 
 def zero_padded(tr: Trajectory, window: int) -> Trajectory:
     """The trajectory followed by zero snapshots up to ``window`` in all."""
-    zero = SpectralField(tr.n_modes, np.zeros((tr.n_modes, tr.n_modes), dtype=np.complex128))
-    return Trajectory(tr.tau, tr.fields + (zero,) * (window - len(tr)))
+    zero = np.zeros((tr.n_modes, tr.n_modes), dtype=np.complex128)
+    return Trajectory(tr.tau, np.stack([*tr.coeffs, *[zero] * (window - len(tr))]))
 
 
 class TestContainers:
     def test_trajectory_validation(self):
-        f = plane_wave(4, 1.0, (1, 0))
-        with pytest.raises(ValueError, match="tau"):
-            Trajectory(0.0, (f,))
-        with pytest.raises(ValueError, match="at least one"):
-            Trajectory(0.5, ())
-        with pytest.raises(ValueError, match="lattice"):
-            Trajectory(0.5, (f, plane_wave(8, 1.0, (1, 0))))
+        c = plane_wave(4, 1.0, (1, 0)).coeffs
+        for tau in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="tau"):
+                Trajectory(tau, c[None])
+        with pytest.raises(ValueError, match="M >= 1"):
+            Trajectory(0.5, c)  # one (N, N) snapshot without its stack axis
+        with pytest.raises(ValueError, match="M >= 1"):
+            Trajectory(0.5, np.zeros((0, 4, 4)))
+        with pytest.raises(ValueError, match="even"):
+            Trajectory(0.5, np.zeros((2, 5, 5)))
+        with pytest.raises(ValueError, match="shape"):
+            Trajectory(0.5, np.zeros((2, 4, 6)))
+        with pytest.raises(ValueError, match="shape"):
+            Trajectory(0.5, np.zeros((2, 6, 4)))
+        for bad in (np.nan, np.inf, 1j * np.inf):
+            stack = np.stack([c, c])
+            stack[1, 0, 0] = bad
+            with pytest.raises(NonFiniteFieldError):
+                Trajectory(0.5, stack)
 
     def test_scaled(self):
         tr = random_trajectory(0.25, 4, 3)
         doubled = tr.scaled(2.0)
-        assert np.array_equal(doubled.fields[1].coeffs, 2.0 * tr.fields[1].coeffs)
+        assert np.array_equal(doubled.coeffs[1], 2.0 * tr.coeffs[1])
 
 
 class TestTransform:
     def test_single_snapshot_is_constant_in_sigma(self):
         """One snapshot transforms to tau * c_0 at every sigma sample."""
         f = plane_wave(8, 0.3 + 0.4j, (2, -1))
-        t = time_space_transform(zero_padded(Trajectory(0.125, (f,)), 16))
+        t = time_space_transform(zero_padded(Trajectory(0.125, f.coeffs[None]), 16))
         assert t.values.shape == (16, 8, 8)
         for row in t.values:
             np.testing.assert_allclose(row, 0.125 * f.coeffs, rtol=0, atol=1e-15)
@@ -75,7 +95,7 @@ class TestTransform:
         exp(i*tau*sigma); moduli are untouched."""
         tau, n, m = 0.5, 4, 8
         tr = random_trajectory(tau, n, m)
-        rolled = Trajectory(tau, tr.fields[-1:] + tr.fields[:-1])
+        rolled = Trajectory(tau, np.stack([tr.coeffs[-1], *tr.coeffs[:-1]]))
         t0 = time_space_transform(tr)
         t1 = time_space_transform(rolled)
         phase = np.exp(1j * tau * t0.sigmas)[:, None, None]
@@ -98,7 +118,7 @@ class TestNormReductions:
         t = time_space_transform(tr)
         dsigma = 2.0 * np.pi / (len(t.sigmas) * tr.tau)
         lhs = dsigma / (2.0 * np.pi) * np.sum(np.abs(t.values) ** 2)
-        rhs = tr.tau * sum(np.sum(np.abs(f.coeffs) ** 2) for f in tr.fields)
+        rhs = tr.tau * sum(np.sum(np.abs(c) ** 2) for c in tr.coeffs)
         assert abs(lhs - rhs) <= 1e-12 * rhs
 
     def test_monotone_in_s_and_b(self):
@@ -147,7 +167,7 @@ class TestTwistedForm:
         the multiplier form; both are finite and positive."""
         tau, n, m = 0.125, 8, 16
         u0 = generate(RoughDataSpec(s=1.0, seed=11, n_modes=n))
-        tr = Trajectory(tau, tuple(free_flow(u0, i * tau) for i in range(m)))
+        tr = Trajectory(tau, np.stack([free_flow(u0, i * tau).coeffs for i in range(m)]))
         plain = bourgain_norm(tr, 1.0, 0.75)
         twisted = twisted_bourgain_norm(tr, 1.0, 0.75)
         assert np.isfinite(plain) and plain > 0.0
@@ -157,20 +177,20 @@ class TestTwistedForm:
 
 class TestTrajectoryFunctionals:
     def test_l2_single_plane_wave(self):
-        tr = Trajectory(0.25, (plane_wave(8, 0.5, (1, 1)),))
+        tr = Trajectory(0.25, plane_wave(8, 0.5, (1, 1)).coeffs[None])
         want = np.sqrt(0.25) * 2.0 * np.pi * 0.5
         assert abs(trajectory_l2(tr) - want) <= 1e-14
 
     def test_sup_sobolev(self):
         small = plane_wave(8, 0.1, (1, 0))
         big = plane_wave(8, 1.0, (2, 2))
-        tr = Trajectory(0.5, (small, big))
+        tr = Trajectory(0.5, np.stack([small.coeffs, big.coeffs]))
         assert trajectory_sup_sobolev(tr, 1.0) == sobolev_norm(big, 1.0)
 
     def test_l4_constant_field(self):
         """A spatially constant snapshot has |u|^4 integral (2 pi)^2 |a|^4."""
         a = 0.7
-        tr = Trajectory(0.5, (plane_wave(8, a, (0, 0)),))
+        tr = Trajectory(0.5, plane_wave(8, a, (0, 0)).coeffs[None])
         want = (0.5 * (2.0 * np.pi) ** 2 * a**4) ** 0.25
         assert abs(trajectory_l4(tr) - want) <= 1e-12 * want
 
@@ -192,15 +212,14 @@ class TestProbes:
             estimate_probe([(0, tr)], "embedding_inf_Hs", s=0.0)
 
     def test_zero_trajectory_skipped(self):
-        zero = SpectralField(4, np.zeros((4, 4), dtype=np.complex128))
-        tr = Trajectory(0.25, (zero, zero))
+        tr = Trajectory(0.25, np.zeros((2, 4, 4), dtype=np.complex128))
         res = estimate_probe([(0, tr)], "embedding_inf_Hs")
         assert res.skipped == 1 and res.rows == ()
         with pytest.raises(ValueError, match="no usable"):
             res.max_ratio
 
     def test_single_snapshot_trajectory_included(self):
-        tr = Trajectory(0.25, (plane_wave(8, 0.3, (1, 1)),))
+        tr = Trajectory(0.25, plane_wave(8, 0.3, (1, 1)).coeffs[None])
         for estimate_id in ESTIMATE_IDS:
             res = estimate_probe([(5, tr)], estimate_id)
             assert res.skipped == 0 and len(res.rows) == 1
@@ -219,15 +238,14 @@ class TestProbes:
         b = list(probe_ensemble(4, 0.25, 8, window=4, seed0=9))
         for (sa, ta), (sb, tb) in zip(a, b):
             assert sa == sb
-            for fa, fb in zip(ta.fields, tb.fields):
-                assert np.array_equal(fa.coeffs, fb.coeffs)
+            assert np.array_equal(ta.coeffs, tb.coeffs)
 
     def test_embedding_lhs_bounded_by_window_max(self):
         """The embedding lhs is exactly the max H^s over snapshots."""
         trs = list(probe_ensemble(2, 0.25, 8, window=6))
         res = estimate_probe(trs, "embedding_inf_Hs", s=1.0, b=0.6)
         for row, (_, tr) in zip(res.rows, trs):
-            assert row.lhs == max(sobolev_norm(f, 1.0) for f in tr.fields)
+            assert row.lhs == max(sobolev_norm(f, 1.0) for f in snapshot_fields(tr))
 
     def test_tau_variation_small_ensemble(self):
         """Max ratios across a tau sweep stay within a factor 4 even on a
@@ -249,6 +267,45 @@ class TestProbes:
         assert len(rows) == 1 + len(res.rows)
         assert float(rows[1][3]) == res.rows[0].lhs
         assert float(rows[1][5]) == res.rows[0].ratio
+
+    def test_report_write_is_atomic(self, tmp_path):
+        """A write that fails part way leaves the previous report whole."""
+        out = tmp_path / "probes.csv"
+        write_probe_report([estimate_probe(probe_ensemble(3, 0.25, 8, 4), "strichartz_l4")], out)
+        first = out.read_bytes()
+
+        def dies_after_one_result():
+            yield estimate_probe(probe_ensemble(3, 0.5, 8, 4), "embedding_inf_Hs")
+            raise RuntimeError("killed mid-write")
+
+        with pytest.raises(RuntimeError, match="mid-write"):
+            write_probe_report(dies_after_one_result(), out)
+        assert out.read_bytes() == first
+        assert [p.name for p in tmp_path.iterdir()] == ["probes.csv"]
+
+
+class TestStackMatchesSnapshots:
+    """The stacked functionals reproduce the per-snapshot definitions bit for bit."""
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("tau", [2.0**-4, 2.0**-8])
+    def test_bit_exact(self, n, tau):
+        stacked = list(probe_ensemble(4, tau, n, window=16, seed0=3))
+        fields = list(snapshot_ensemble(4, tau, n, window=16, seed0=3))
+        for (seed, tr), (want_seed, want) in zip(stacked, fields):  # both families
+            assert seed == want_seed and np.array_equal(tr.coeffs, want.coeffs)
+            assert trajectory_sup_sobolev(tr, 1.0) == snapshot_sup_sobolev(tr, 1.0)
+            assert trajectory_l4(tr) == snapshot_l4(tr)
+            # one sum over the stack instead of a vdot per snapshot: a reordering
+            per_field = np.sqrt(tr.tau * sum(l2_norm(f) ** 2 for f in snapshot_fields(tr)))
+            assert trajectory_l2(tr) == pytest.approx(per_field, rel=1e-13, abs=0.0)
+            filtered = snapshot_project(tr, tau)
+            assert np.array_equal(project_array(tr.coeffs, tau), filtered.coeffs)
+            truncated = np.count_nonzero(filtered.coeffs) < filtered.coeffs.size
+            assert truncated == (tau**-0.5 < n / 2)  # the filter bites at tau = 2^-4
+        for estimate_id in ESTIMATE_IDS:
+            rows = estimate_probe(stacked, estimate_id).rows
+            assert rows == snapshot_probe_rows(fields, estimate_id)
 
 
 if __name__ == "__main__":
