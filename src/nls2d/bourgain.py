@@ -9,7 +9,8 @@ array operations, not one snapshot at a time.  Its time-space transform is
 
 a (2*pi/tau)-periodic function of sigma sampled on the uniform grid
 ``sigma_m = 2*pi*m / (M*tau)`` with m running over the centered integer
-window (-M/2 .. M/2-1 for even M).  The weighted space-time norm is
+window (-M/2 .. M/2-1 for even M).  :func:`time_space_transform` returns
+the (M, N, N) samples in ascending sigma.  The weighted space-time norm is
 
     || u ||^2 = 2*pi * dsigma * sum_{sigma, k} W(sigma, k) * |F(sigma, k)|^2
 
@@ -28,7 +29,8 @@ The transform window is the trajectory length M; to extend the window by
 zeros, append zero slices to the stack.  Window length matters:
 the zero extension introduces edge transitions whose weighted content
 grows with b, so comparisons across window lengths are only meaningful at
-fixed M.  All probe sweeps here hold M fixed while tau varies.
+fixed M.  All probe sweeps here hold M fixed while tau varies.  Free-flow
+probes take their phase from :func:`nls2d.spectral.free_phase`.
 """
 
 from __future__ import annotations
@@ -42,12 +44,10 @@ import numpy as np
 
 from .roughdata import RoughDataSpec, generate, uniform_block
 from .snapshot import staged
-from .spectral import _validate_square, mode_ksq, project_array, synthesize_array
-from .splitting import _free_phase
+from .spectral import _validate_square, free_phase, mode_ksq, project_array, synthesize_array
 
 __all__ = [
     "Trajectory",
-    "TimeSpaceTransform",
     "time_space_transform",
     "bourgain_norm",
     "trajectory_l2",
@@ -89,30 +89,23 @@ class Trajectory:
         return Trajectory(self.tau, factor * self.coeffs)
 
 
-@dataclass(frozen=True)
-class TimeSpaceTransform:
-    """Sampled transform values with their frequency grids."""
-
-    tau: float
-    sigmas: np.ndarray  # (M,) time frequencies, ascending
-    values: np.ndarray  # (M, N, N) transform samples, natural mode order
-
-
 def _sigma_grid(window: int, tau: float) -> np.ndarray:
     m = np.arange(-(window // 2), window - window // 2, dtype=np.float64)
     return 2.0 * np.pi * m / (window * tau)
 
 
-def time_space_transform(tr: Trajectory) -> TimeSpaceTransform:
-    """Transform a trajectory onto its sigma grid; the window is ``len(tr)``.
+def time_space_transform(tr: Trajectory) -> np.ndarray:
+    """Samples F(sigma_m, k) of a trajectory's transform, as an (M, N, N) array.
 
-    Exact on the grid: circularly shifting the snapshots multiplies the
-    samples by ``exp(i*tau*sigma)`` per step, and a single-snapshot
-    trajectory transforms to the constant ``tau * c_0(k)`` in sigma.
+    The window is ``len(tr)``; row m holds the m-th sigma of the ascending
+    grid (``_sigma_grid``), natural mode order within.  Exact on the grid:
+    circularly shifting the snapshots multiplies the samples by
+    ``exp(i*tau*sigma)`` per step, and a single-snapshot trajectory
+    transforms to the constant ``tau * c_0(k)`` in sigma.
     """
     window = len(tr)
     vals = np.fft.ifft(tr.coeffs, axis=0) * (tr.tau * window)
-    return TimeSpaceTransform(tr.tau, _sigma_grid(window, tr.tau), np.fft.fftshift(vals, axes=0))
+    return np.fft.fftshift(vals, axes=0)
 
 
 def bourgain_norm(tr: Trajectory, s: float, b: float) -> float:
@@ -122,13 +115,14 @@ def bourgain_norm(tr: Trajectory, s: float, b: float) -> float:
     ``(1 + |d(sigma - |k|^2)|^2)**b`` is smallest where sigma tracks the
     free dispersion relation, so free-flow trajectories score low for b > 0.
     """
-    t = time_space_transform(tr)
+    values = time_space_transform(tr)
+    tau, window = tr.tau, len(tr)
     ksq = mode_ksq(tr.n_modes)
-    arg = t.sigmas[:, None, None] - ksq[None, :, :]
-    dsq = 4.0 * np.sin(0.5 * t.tau * arg) ** 2 / (t.tau * t.tau)
+    arg = _sigma_grid(window, tau)[:, None, None] - ksq[None, :, :]
+    dsq = 4.0 * np.sin(0.5 * tau * arg) ** 2 / (tau * tau)
     w = (1.0 + ksq[None, :, :]) ** s * (1.0 + dsq) ** b
-    dsigma = 2.0 * np.pi / (len(t.sigmas) * t.tau)
-    total = float(np.sum(w * (t.values.real**2 + t.values.imag**2)))
+    dsigma = 2.0 * np.pi / (window * tau)
+    total = float(np.sum(w * (values.real**2 + values.imag**2)))
     return float(np.sqrt(2.0 * np.pi * dsigma * total))
 
 
@@ -272,7 +266,7 @@ def probe_ensemble(
             v = generate(RoughDataSpec(s=1.0, seed=base, n_modes=n_modes)).coeffs
             env = _envelope(base + 7, window)
             for m in range(window):
-                stack[m] = env[m] * (v * _free_phase(n_modes, m * tau))
+                stack[m] = env[m] * (v * free_phase(n_modes, m * tau))
         yield seed, Trajectory(tau, stack)
 
 

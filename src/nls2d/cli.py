@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import bourgain, harness, snapshot
 from .roughdata import RoughDataSpec, generate
-from .spectral import l2_norm
+from .spectral import SpectralField, l2_norm
 from .splitting import BlowupError, SchemeParams, evolve, snapshot_observer
 
 EXIT_OK = 0
@@ -33,6 +33,11 @@ def _datum_args(p: argparse.ArgumentParser, required: bool) -> None:
     p.add_argument("--seed", type=int, required=required, help="datum seed")
     p.add_argument("--eps", type=float, default=0.01, help="extra decay margin")
     p.add_argument("--target-l2", type=float, default=0.1, help="L2 norm of the datum")
+
+
+def _datum(args: argparse.Namespace, n_modes: int) -> SpectralField:
+    return generate(RoughDataSpec(s=args.s, seed=args.seed, n_modes=n_modes,
+                                  eps=args.eps, target_l2=args.target_l2))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,9 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    spec = RoughDataSpec(s=args.s, seed=args.seed, n_modes=args.grid,
-                         eps=args.eps, target_l2=args.target_l2)
-    field = generate(spec)
+    field = _datum(args, args.grid)
     snapshot.save_field(field, args.out)
     print(f"wrote {args.out} (N={field.n_modes}, l2={l2_norm(field):.6g})")
     return EXIT_OK
@@ -117,8 +120,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         if args.s is None or args.seed is None:
             raise ValueError("run needs either --in or both --s and --seed")
-        u0 = generate(RoughDataSpec(s=args.s, seed=args.seed, n_modes=args.grid,
-                                    eps=args.eps, target_l2=args.target_l2))
+        u0 = _datum(args, args.grid)
     params = SchemeParams(tau=args.tau, n_modes=args.grid, mu=args.mu,
                           t_final=args.T, theta=args.theta_override)
     observer = None
@@ -133,21 +135,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_reference(args: argparse.Namespace) -> int:
-    spec = RoughDataSpec(s=args.s, seed=args.seed, n_modes=args.grid_reference,
-                         eps=args.eps, target_l2=args.target_l2)
-    field, path = harness.compute_reference(generate(spec), args.tau_ref, args.T, args.mu,
-                                            args.cache)
+    field, path = harness.compute_reference(_datum(args, args.grid_reference), args.tau_ref,
+                                            args.T, args.mu, args.cache)
     print(f"reference cached at {path} (l2={l2_norm(field):.6g})")
     return EXIT_OK
 
 
-def _parse_alternates(text: str) -> list[harness.ReferenceSpec]:
+def _parse_alternates(text: str) -> list[tuple[int, float]]:
     out = []
     for part in text.split(","):
         k, _, tau = part.partition(":")
         if not tau:
             raise ValueError(f"expected K:TAU, got {part!r}")
-        out.append(harness.ReferenceSpec(int(k), harness.parse_dyadic(tau)))
+        out.append((int(k), harness.parse_dyadic(tau)))
     return out
 
 
@@ -174,8 +174,8 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     records = harness.run_study(cfg)
     print(f"{len(records)} records in {cfg.output_dir / 'records.csv'}")
     _print_fits("", records, cfg.s_values)
-    for ref, sub in alternates.items():
-        _print_fits(f"ref K={ref.n_modes} tau={ref.tau:g} ", harness.run_study(sub), cfg.s_values)
+    for (k, tau), sub in alternates.items():
+        _print_fits(f"ref K={k} tau={tau:g} ", harness.run_study(sub), cfg.s_values)
     return EXIT_OK
 
 

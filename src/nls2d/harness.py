@@ -24,7 +24,7 @@ import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -42,8 +42,8 @@ from .splitting import (
 )
 
 __all__ = [
-    "ReferenceSpec",
     "StudyConfig",
+    "CONFIG_KEYS",
     "ConvergenceRecord",
     "OrderFit",
     "grid_for_tau",
@@ -95,36 +95,24 @@ def _is_power_of_two(x: float) -> bool:
 
 
 @dataclass(frozen=True)
-class ReferenceSpec:
-    """Resolution of the reference solve: lattice size and step."""
-
-    n_modes: int
-    tau: float
-
-    def __post_init__(self) -> None:
-        if self.n_modes < 2 or self.n_modes % 2 != 0:
-            raise ValueError(f"reference n_modes must be an even integer >= 2, got {self.n_modes}")
-        if not _is_power_of_two(self.tau):
-            raise ValueError(f"reference tau must be a power of two, got {self.tau}")
-
-
-@dataclass(frozen=True)
 class StudyConfig:
     """Everything one convergence study needs.
 
-    Validation pins the couplings the sweep relies on: T > 0; every tau is
-    a power of two; the parameters of every coarse run and of the reference
-    are valid :class:`~nls2d.splitting.SchemeParams` (so each step divides
-    T and mu is +1 or -1); the reference step is at least 16 times finer
-    than the finest tau; and the reference lattice holds at least twice the
-    largest coarse grid (4x is recommended and logged when not met), so
-    every coarse field embeds losslessly.
+    Validation pins the couplings the sweep relies on: T > 0; every tau and
+    the reference step are powers of two; the parameters of every coarse
+    run and of the reference are valid :class:`~nls2d.splitting.SchemeParams`
+    (so each step divides T, every lattice is even and mu is +1 or -1); the
+    reference step is at least 16 times finer than the finest tau; and the
+    reference lattice holds at least twice the largest coarse grid (4x is
+    recommended and logged when not met), so every coarse field embeds
+    losslessly.
     """
 
     s_values: tuple[float, ...]
     tau_list: tuple[float, ...]
     t_final: float
-    reference: ReferenceSpec
+    grid_reference: int
+    tau_reference: float
     seeds: tuple[int, ...]
     output_dir: Path
     mu: int = -1
@@ -150,14 +138,14 @@ class StudyConfig:
             raise ValueError("tau_list contains duplicates")
         if not (self.t_final > 0.0):
             raise ValueError(f"T must be positive, got {self.t_final}")
-        for tau in self.tau_list:
+        runs = [(tau, grid_for_tau(tau)) for tau in self.tau_list]
+        for tau, n in [*runs, (self.tau_reference, self.grid_reference)]:
             if not _is_power_of_two(tau):
-                raise ValueError(f"tau_list entries must be powers of two, got {tau}")
-            SchemeParams(tau, grid_for_tau(tau), self.mu, self.t_final)
-        SchemeParams(self.reference.tau, self.reference.n_modes, self.mu, self.t_final)
-        if self.reference.tau > min(self.tau_list) / 16.0:
+                raise ValueError(f"tau_list and tau_reference must be powers of two, got {tau}")
+            SchemeParams(tau, n, self.mu, self.t_final)
+        if self.tau_reference > min(self.tau_list) / 16.0:
             raise ValueError(
-                f"reference tau {self.reference.tau} must be <= min(tau_list)/16 "
+                f"reference tau {self.tau_reference} must be <= min(tau_list)/16 "
                 f"= {min(self.tau_list) / 16.0}"
             )
         if not self.seeds:
@@ -168,16 +156,16 @@ class StudyConfig:
             raise ValueError("eps and target_l2 must be positive")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        max_n = max(grid_for_tau(tau) for tau in self.tau_list)
-        if self.reference.n_modes < 2 * max_n:
+        max_n = max(n for _, n in runs)
+        if self.grid_reference < 2 * max_n:
             raise ValueError(
-                f"reference lattice {self.reference.n_modes} must be at least twice "
+                f"reference lattice {self.grid_reference} must be at least twice "
                 f"the largest coarse grid {max_n}"
             )
-        if self.reference.n_modes < 4 * max_n:
+        if self.grid_reference < 4 * max_n:
             logger.warning(
                 "reference lattice %d is below the recommended 4x largest coarse grid %d",
-                self.reference.n_modes, max_n,
+                self.grid_reference, max_n,
             )
 
     @property
@@ -185,7 +173,7 @@ class StudyConfig:
         return self.cache_dir if self.cache_dir is not None else self.output_dir / "cache"
 
     def datum_spec(self, s: float, seed: int) -> RoughDataSpec:
-        return RoughDataSpec(s=s, seed=seed, n_modes=self.reference.n_modes,
+        return RoughDataSpec(s=s, seed=seed, n_modes=self.grid_reference,
                              eps=self.eps, target_l2=self.target_l2)
 
 
@@ -378,15 +366,10 @@ def _drop_torn_row(path: Path) -> None:
 def _claim_output_dir(cfg: StudyConfig, resuming: bool) -> None:
     """Write the recipe all rows share to ``study.json``; resumed rows need a match."""
     path = cfg.output_dir / "study.json"
-    want = {
-        "scheme": SCHEME_VERSION,
-        "T": float(cfg.t_final).hex(),
-        "grid_reference": cfg.reference.n_modes,
-        "tau_reference": float(cfg.reference.tau).hex(),
-        "mu": cfg.mu,
-        "eps": float(cfg.eps).hex(),
-        "target_l2": float(cfg.target_l2).hex(),
-    }
+    want = {"scheme": SCHEME_VERSION}
+    for key, field, _, encode in CONFIG_KEYS:
+        if encode is not None:
+            want[key] = encode(getattr(cfg, field))
     if resuming:
         if not path.exists():
             raise ValueError(f"{cfg.output_dir} holds records but no study.json; "
@@ -440,7 +423,7 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
                 (s, seed): pool.submit(
                     compute_reference,
                     data[(s, seed)],
-                    cfg.reference.tau,
+                    cfg.tau_reference,
                     cfg.t_final,
                     cfg.mu,
                     cfg.resolved_cache_dir,
@@ -469,9 +452,9 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
 
 
 def sensitivity_configs(
-    cfg: StudyConfig, alternates: Sequence[ReferenceSpec]
-) -> dict[ReferenceSpec, StudyConfig]:
-    """The study of each alternative reference, under ``output_dir/ref_K{n}_tau{tau}/``.
+    cfg: StudyConfig, alternates: Sequence[tuple[int, float]]
+) -> dict[tuple[int, float], StudyConfig]:
+    """The study of each alternative reference (K, tau), under ``output_dir/ref_K{K}_tau{tau}/``.
 
     Qualitative tool: running each with :func:`run_study` repeats the sweep
     against another reference resolution, and an under-resolved reference
@@ -480,9 +463,9 @@ def sensitivity_configs(
     bad one is rejected before any sweep runs.
     """
     return {
-        ref: replace(cfg, reference=ref,
-                     output_dir=cfg.output_dir / f"ref_K{ref.n_modes}_tau{ref.tau:g}")
-        for ref in alternates
+        (k, tau): replace(cfg, grid_reference=k, tau_reference=tau,
+                          output_dir=cfg.output_dir / f"ref_K{k}_tau{tau:g}")
+        for k, tau in alternates
     }
 
 
@@ -605,23 +588,46 @@ def read_plot_data(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 # config files
 
 
-_LIST_KEYS = {"s_values", "tau_list", "seeds"}
-_SCALAR_KEYS = {
-    "T", "grid_reference", "tau_reference", "mu", "eps", "target_l2",
-    "output_dir", "cache_dir", "workers",
-}
+def _list_of(parse):
+    return lambda text: tuple(parse(v) for v in text.split(","))
+
+
+def _float_hex(x: float) -> str:
+    return float(x).hex()
+
+
+# One row per config key: (key, StudyConfig field, parser of the text
+# value, study.json encoding or None).  Rows follow the field order.  The
+# encoded fields are the recipe every row of a study shares; changing one
+# makes a different study, while s_values, tau_list and seeds may grow.
+CONFIG_KEYS = (
+    ("s_values", "s_values", _list_of(parse_dyadic), None),
+    ("tau_list", "tau_list", _list_of(parse_dyadic), None),
+    ("T", "t_final", parse_dyadic, _float_hex),
+    ("grid_reference", "grid_reference", int, int),
+    ("tau_reference", "tau_reference", parse_dyadic, _float_hex),
+    ("seeds", "seeds", _list_of(int), None),
+    ("output_dir", "output_dir", Path, None),
+    ("mu", "mu", int, int),
+    ("eps", "eps", float, _float_hex),
+    ("target_l2", "target_l2", float, _float_hex),
+    ("cache_dir", "cache_dir", Path, None),
+    ("workers", "workers", int, None),
+)
 
 
 def parse_config_file(path: str | Path) -> StudyConfig:
     """Read a study config from a ``key = value`` text file.
 
-    Recognized keys: ``s_values``, ``tau_list``, ``seeds`` (comma-separated
-    lists), ``T``, ``grid_reference``, ``tau_reference``, ``mu``, ``eps``,
-    ``target_l2``, ``output_dir``, ``cache_dir``, ``workers``.  Step values
-    accept the dyadic form ``2^-12``.  Lines starting with ``#`` are
-    comments.  Unknown keys are rejected.
+    The keys are the first column of :data:`CONFIG_KEYS`; those of fields
+    without a default are required.  ``s_values``, ``tau_list`` and
+    ``seeds`` are comma-separated lists, and steps (``T``, ``tau_list``,
+    ``tau_reference``) accept the dyadic form ``2^-12``.  Lines starting
+    with ``#`` are comments.  Unknown or repeated keys and unparsable
+    values are rejected with the file and line.
     """
-    raw: dict[str, str] = {}
+    rows = {row[0]: row for row in CONFIG_KEYS}
+    kwargs = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -630,31 +636,18 @@ def parse_config_file(path: str | Path) -> StudyConfig:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _LIST_KEYS | _SCALAR_KEYS:
+        if key not in rows:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in raw:
+        _, field, parse, _ = rows[key]
+        if field in kwargs:
             raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
-        raw[key] = value
-    missing = {"s_values", "tau_list", "T", "grid_reference", "tau_reference",
-               "seeds", "output_dir"} - raw.keys()
+        try:
+            kwargs[field] = parse(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
+    required = {f.name for f in fields(StudyConfig) if f.default is MISSING}
+    missing = sorted(key for key, field, _, _ in CONFIG_KEYS
+                     if field in required and field not in kwargs)
     if missing:
-        raise ValueError(f"{path}: missing required config keys {sorted(missing)}")
-    kwargs = dict(
-        s_values=tuple(parse_dyadic(v) for v in raw["s_values"].split(",")),
-        tau_list=tuple(parse_dyadic(v) for v in raw["tau_list"].split(",")),
-        t_final=parse_dyadic(raw["T"]),
-        reference=ReferenceSpec(int(raw["grid_reference"]), parse_dyadic(raw["tau_reference"])),
-        seeds=tuple(int(v) for v in raw["seeds"].split(",")),
-        output_dir=Path(raw["output_dir"]),
-    )
-    if "mu" in raw:
-        kwargs["mu"] = int(raw["mu"])
-    if "eps" in raw:
-        kwargs["eps"] = float(raw["eps"])
-    if "target_l2" in raw:
-        kwargs["target_l2"] = float(raw["target_l2"])
-    if "cache_dir" in raw:
-        kwargs["cache_dir"] = Path(raw["cache_dir"])
-    if "workers" in raw:
-        kwargs["workers"] = int(raw["workers"])
+        raise ValueError(f"{path}: missing required config keys {missing}")
     return StudyConfig(**kwargs)

@@ -20,6 +20,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "SpectralField",
     "mode_values",
     "mode_ksq",
+    "free_phase",
     "dft_forward",
     "synthesize",
     "synthesize_array",
@@ -84,6 +86,19 @@ def mode_ksq(n: int) -> np.ndarray:
     """Squared wavenumbers ``|k|^2 = k1^2 + k2^2`` on the N-mode lattice, as floats."""
     k = mode_values(n).astype(np.float64)
     return k[:, None] ** 2 + k[None, :] ** 2
+
+
+@lru_cache(maxsize=64)
+def free_phase(n: int, t: float) -> np.ndarray:
+    """Free-flow phase ``exp(-i*t*|k|^2)`` on the N-mode lattice, natural order.
+
+    Cached, because the integrator and the probe ensembles reuse the same
+    (n, t) pairs call after call.  Every caller shares the cached array, so
+    it is read-only: compute a product into a new array, never in place.
+    """
+    phase = np.exp(-1j * t * mode_ksq(n))
+    phase.flags.writeable = False
+    return phase
 
 
 def dft_forward(values: np.ndarray) -> SpectralField:

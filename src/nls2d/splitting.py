@@ -7,6 +7,7 @@ exact free flow over one step.  The interpolation deliberately folds grid
 products back onto the mode lattice; no dealiasing is applied anywhere, and
 the filter width is controlled by ``theta`` alone.  :func:`evolve` filters
 the datum once and runs the steps as one loop over a coefficient array.
+Its free-flow phase is :func:`nls2d.spectral.free_phase`, shared with ``bourgain``.
 
 The state after every step is invariant under the filter, and the discrete
 mass (squared L2 norm) never increases; it is conserved up to rounding when
@@ -17,14 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import snapshot
-from .spectral import SpectralField, mode_ksq, project
+from .spectral import SpectralField, free_phase, project
 
 __all__ = [
     "SCHEME_VERSION",
@@ -107,13 +107,6 @@ class SchemeParams:
         return self._n_steps
 
 
-@lru_cache(maxsize=64)
-def _free_phase(n_modes: int, t: float) -> np.ndarray:
-    # exp(-i*t*|k|^2) on the centered lattice; cached because evolve and the
-    # space-time transforms reuse the same (n, t) pairs call after call.
-    return np.exp(-1j * t * mode_ksq(n_modes))
-
-
 def free_flow(f: SpectralField, t: float) -> SpectralField:
     """Exact free propagator over time t.
 
@@ -121,7 +114,7 @@ def free_flow(f: SpectralField, t: float) -> SpectralField:
     frequency, so it commutes with the square frequency filter and
     preserves every mode modulus.
     """
-    return SpectralField(f.n_modes, f.coeffs * _free_phase(f.n_modes, t))
+    return SpectralField(f.n_modes, f.coeffs * free_phase(f.n_modes, t))
 
 
 def evolve(
@@ -160,7 +153,7 @@ def evolve(
         raise ValueError(f"field lattice {u0.n_modes} does not match params.n_modes {n}")
     theta = params.theta
     c = np.fft.ifftshift(project(u0, theta).coeffs)
-    prop = np.fft.ifftshift(project(SpectralField(n, _free_phase(n, params.tau)), theta).coeffs)
+    prop = np.fft.ifftshift(project(SpectralField(n, free_phase(n, params.tau)), theta).coeffs)
     angle = np.empty((n, n))
     phase = np.empty((n, n), dtype=np.complex128)
     n_steps = params.n_steps

@@ -120,13 +120,15 @@ def twisted_bourgain_norm(tr: Trajectory, s: float, b: float) -> float:
     twisted = Trajectory(tau, np.stack([
         free_flow(f, -m * tau).coeffs for m, f in enumerate(snapshot_fields(tr))
     ]))
-    t = time_space_transform(twisted)
+    values = time_space_transform(twisted)
+    m = len(tr)
+    sigmas = 2.0 * np.pi * np.arange(-(m // 2), m - m // 2) / (m * tau)
     k = centered_indices(tr.n_modes).astype(np.float64)
     ksq = k[:, None] ** 2 + k[None, :] ** 2
-    dsq = 4.0 * np.sin(0.5 * tau * t.sigmas) ** 2 / tau**2
+    dsq = 4.0 * np.sin(0.5 * tau * sigmas) ** 2 / tau**2
     weight = (1.0 + ksq[None, :, :]) ** s * (1.0 + dsq[:, None, None]) ** b
-    dsigma = 2.0 * np.pi / (len(t.sigmas) * tau)
-    return float(np.sqrt(2.0 * np.pi * dsigma * np.sum(weight * np.abs(t.values) ** 2)))
+    dsigma = 2.0 * np.pi / (m * tau)
+    return float(np.sqrt(2.0 * np.pi * dsigma * np.sum(weight * np.abs(values) ** 2)))
 
 
 def snapshot_fields(tr: Trajectory) -> list[SpectralField]:

@@ -23,7 +23,6 @@ from nls2d.bourgain import (
 )
 from nls2d.cli import EXIT_OK, main
 from nls2d.harness import (
-    ReferenceSpec,
     StudyConfig,
     fit_order,
     read_records,
@@ -220,7 +219,8 @@ def test_criterion_07_convergence_order_rough(tmp_path_factory, shared_cache):
                 s_values=(s,),
                 tau_list=tuple(2.0**p for p in range(-12, -7)),
                 t_final=0.25,
-                reference=ReferenceSpec(256, 2.0**-16),
+                grid_reference=256,
+                tau_reference=2.0**-16,
                 seeds=(1, 2, 3),
                 output_dir=root / f"s{s:g}",
                 cache_dir=shared_cache,

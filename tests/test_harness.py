@@ -3,7 +3,7 @@
 import logging
 import math
 import shutil
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +12,9 @@ import pytest
 import nls2d.harness as harness
 import nls2d.snapshot as snapshot
 from nls2d.harness import (
+    CONFIG_KEYS,
     ConvergenceRecord,
     RECORD_COLUMNS,
-    ReferenceSpec,
     StudyConfig,
     coarse_datum,
     compute_reference,
@@ -76,7 +76,8 @@ class TestConfigValidation:
             s_values=(1.0,),
             tau_list=(2.0**-4, 2.0**-5, 2.0**-6),
             t_final=0.25,
-            reference=ReferenceSpec(64, 2.0**-10),
+            grid_reference=64,
+            tau_reference=2.0**-10,
             seeds=(1, 2),
             output_dir=tmp_path / "out",
         )
@@ -95,27 +96,23 @@ class TestConfigValidation:
             (dict(tau_list=(2.0**-4, 2.0**-4)), "duplicates"),
             (dict(t_final=0.3), "integer multiple"),
             (dict(t_final=0.0), "T must be"),
-            (dict(reference=ReferenceSpec(64, 2.0**-8)), "min\\(tau_list\\)/16"),
+            (dict(tau_reference=2.0**-8), "min\\(tau_list\\)/16"),
             (dict(seeds=()), "nonempty"),
             (dict(seeds=(3, 3)), "duplicates"),
             (dict(mu=0), "mu"),
             (dict(eps=0.0), "positive"),
             (dict(workers=0), "workers"),
-            (dict(reference=ReferenceSpec(16, 2.0**-10)), "at least twice"),
+            (dict(grid_reference=16), "at least twice"),
+            (dict(grid_reference=15), "even integer"),
+            (dict(tau_reference=0.3), "powers of two"),
         ]
         for override, pattern in cases:
             with pytest.raises(ValueError, match=pattern):
                 StudyConfig(**{**good, **override})
 
-    def test_reference_spec_rejections(self):
-        with pytest.raises(ValueError, match="even integer"):
-            ReferenceSpec(15, 0.5)
-        with pytest.raises(ValueError, match="power of two"):
-            ReferenceSpec(16, 0.3)
-
     def test_small_reference_lattice_warns(self, tmp_path, caplog):
         good = self.good_kwargs(tmp_path)
-        good["reference"] = ReferenceSpec(32, 2.0**-10)  # 2x max grid, below 4x
+        good["grid_reference"] = 32  # 2x max grid, below 4x
         with caplog.at_level(logging.WARNING, logger="nls2d.harness"):
             StudyConfig(**good)
         assert any("recommended 4x" in r.message for r in caplog.records)
@@ -262,7 +259,8 @@ def mini_study(tmp_path_factory):
         s_values=(2.0,),
         tau_list=(2.0**-4, 2.0**-5, 2.0**-6),
         t_final=0.25,
-        reference=ReferenceSpec(64, 2.0**-10),
+        grid_reference=64,
+        tau_reference=2.0**-10,
         seeds=(1, 2),
         output_dir=root,
         workers=2,
@@ -350,13 +348,29 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="no study.json"):
             run_study(copy)
 
+    def test_study_json_golden(self, mini_study):
+        """The recipe encoding is pinned: key order, ints, floats as float.hex."""
+        cfg, _ = mini_study
+        assert (cfg.output_dir / "study.json").read_text() == (
+            '{\n'
+            '  "scheme": 2,\n'
+            '  "T": "0x1.0000000000000p-2",\n'
+            '  "grid_reference": 64,\n'
+            '  "tau_reference": "0x1.0000000000000p-10",\n'
+            '  "mu": -1,\n'
+            '  "eps": "0x1.47ae147ae147bp-7",\n'
+            '  "target_l2": "0x1.999999999999ap-4"\n'
+            '}\n'
+        )
+
     def test_reference_sensitivity_writes_subdirs(self, mini_study):
         cfg, records = mini_study
-        alt = ReferenceSpec(32, 2.0**-10)
+        alt = (32, 2.0**-10)
         configs = sensitivity_configs(cfg, [alt])
         assert set(configs) == {alt}
         sub = cfg.output_dir / f"ref_K32_tau{2.0 ** -10:g}"
-        assert configs[alt].output_dir == sub and configs[alt].reference == alt
+        assert configs[alt].output_dir == sub
+        assert (configs[alt].grid_reference, configs[alt].tau_reference) == alt
         out = run_study(configs[alt])
         assert (sub / "records.csv").exists()
         assert len(out) == len(records)
@@ -481,6 +495,10 @@ cache_dir = {cache}
 workers = 3
 """
 
+    def test_table_covers_every_field(self):
+        """A new StudyConfig field cannot skip the config table."""
+        assert [row[1] for row in CONFIG_KEYS] == [f.name for f in fields(StudyConfig)]
+
     def test_full_parse(self, tmp_path):
         p = tmp_path / "study.cfg"
         p.write_text(self.GOOD.format(out=tmp_path / "o", cache=tmp_path / "c"))
@@ -488,9 +506,10 @@ workers = 3
         assert cfg.s_values == (1.0, 2.0)
         assert cfg.tau_list == (2.0**-6, 2.0**-5, 2.0**-4)
         assert cfg.t_final == 0.25
-        assert cfg.reference == ReferenceSpec(64, 2.0**-10)
+        assert cfg.grid_reference == 64 and cfg.tau_reference == 2.0**-10
         assert cfg.seeds == (1, 2)
         assert cfg.mu == -1 and cfg.workers == 3
+        assert cfg.eps == 0.01 and cfg.target_l2 == 0.1
         assert cfg.cache_dir == tmp_path / "c"
 
     def test_rejections(self, tmp_path):
@@ -500,6 +519,10 @@ workers = 3
             (base + "T = 0.5\n", "duplicate config key"),
             (base.replace("T = 0.25\n", ""), "missing required"),
             (base + "just words\n", "expected 'key = value'"),
+            (base.replace("s_values = 1.0, 2.0", "s_values = 1.0, abc"),
+             r"bad.cfg:2: bad value for 's_values': could not convert"),
+            (base.replace("seeds = 1, 2", "seeds = 1, 2,"),
+             r"bad.cfg:7: bad value for 'seeds': invalid literal"),
         ]
         for text, pattern in cases:
             p = tmp_path / "bad.cfg"

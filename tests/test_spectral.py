@@ -8,6 +8,7 @@ from nls2d.spectral import (
     SpectralField,
     dft_forward,
     embed,
+    free_phase,
     l2_norm,
     l2h_norm,
     mode_values,
@@ -59,6 +60,14 @@ class TestFieldTypes:
 
     def test_mode_values_order(self):
         assert mode_values(4).tolist() == [-2, -1, 0, 1]
+
+    def test_free_phase_is_read_only(self):
+        """The cached phase is shared by every caller; writing to it raises."""
+        phase = free_phase(8, 0.5)
+        with pytest.raises(ValueError, match="read-only"):
+            phase *= 2.0
+        assert free_phase(8, 0.5) is phase
+        assert phase[4 + 1, 4 + 2] == np.exp(-1j * 0.5 * 5.0)
 
 
 class TestCutoffSpec:
