@@ -103,12 +103,17 @@ class TestConfigValidation:
             (dict(eps=0.0), "positive"),
             (dict(workers=0), "workers"),
             (dict(grid_reference=16), "at least twice"),
-            (dict(grid_reference=15), "even integer"),
-            (dict(tau_reference=0.3), "powers of two"),
         ]
         for override, pattern in cases:
             with pytest.raises(ValueError, match=pattern):
                 StudyConfig(**{**good, **override})
+
+    def test_reference_spec_rejections(self, tmp_path):
+        good = self.good_kwargs(tmp_path)
+        with pytest.raises(ValueError, match="even integer"):
+            StudyConfig(**{**good, "grid_reference": 15})
+        with pytest.raises(ValueError, match="powers of two"):
+            StudyConfig(**{**good, "tau_reference": 0.3})
 
     def test_small_reference_lattice_warns(self, tmp_path, caplog):
         good = self.good_kwargs(tmp_path)
