@@ -19,6 +19,9 @@ with ``dsigma = 2*pi/(M*tau)`` and weights
     W = (1 + |k|^2)**s * (1 + |d(sigma - |k|^2)|^2)**b,
     d(x) = (exp(i*tau*x) - 1) / tau.
 
+The weight depends only on (M, tau, N, s, b), so it is built once per
+ensemble and cached as a read-only array that every call shares.
+
 The overall 2*pi ties the sigma quadrature to the 4*pi^2 torus measure of
 ``l2_norm``: at s = b = 0 the norm collapses exactly to the step-weighted
 l2-in-time, L2-in-space norm ``(tau * sum_m l2_norm(u_m)**2)**0.5``.  The
@@ -29,20 +32,24 @@ The transform window is the trajectory length M; to extend the window by
 zeros, append zero slices to the stack.  Window length matters:
 the zero extension introduces edge transitions whose weighted content
 grows with b, so comparisons across window lengths are only meaningful at
-fixed M.  All probe sweeps here hold M fixed while tau varies.  Free-flow
-probes take their phase from :func:`nls2d.spectral.free_phase`.
+fixed M.  All probe sweeps here hold M fixed while tau varies.
+:func:`estimate_probe` evaluates every requested estimate in one pass over
+an ensemble, one trajectory at a time.  Temporally rough probes draw their
+M snapshots in one call of :func:`nls2d.roughdata.generate_stack`;
+free-flow probes take their phase from :func:`nls2d.spectral.free_phase`.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .roughdata import RoughDataSpec, generate, uniform_block
+from .roughdata import RoughDataSpec, generate, generate_stack, uniform_block
 from .snapshot import staged
 from .spectral import _validate_square, free_phase, mode_ksq, project_array, synthesize_array
 
@@ -108,6 +115,22 @@ def time_space_transform(tr: Trajectory) -> np.ndarray:
     return np.fft.fftshift(vals, axes=0)
 
 
+@lru_cache(maxsize=8)
+def _bourgain_weight(window: int, tau: float, n: int, s: float, b: float) -> np.ndarray:
+    """The (M, N, N) weight ``(1 + |k|^2)**s * (1 + |d(sigma - |k|^2)|^2)**b``.
+
+    Cached, because every trajectory of an ensemble shares (window, tau, n)
+    and a probe needs two (s, b) pairs.  Every caller shares the cached
+    array, so it is read-only.
+    """
+    ksq = mode_ksq(n)
+    arg = _sigma_grid(window, tau)[:, None, None] - ksq[None, :, :]
+    dsq = 4.0 * np.sin(0.5 * tau * arg) ** 2 / (tau * tau)
+    w = (1.0 + ksq[None, :, :]) ** s * (1.0 + dsq) ** b
+    w.flags.writeable = False
+    return w
+
+
 def bourgain_norm(tr: Trajectory, s: float, b: float) -> float:
     """Weighted space-time norm with exponents (s, b) of a zero-extended trajectory.
 
@@ -117,10 +140,7 @@ def bourgain_norm(tr: Trajectory, s: float, b: float) -> float:
     """
     values = time_space_transform(tr)
     tau, window = tr.tau, len(tr)
-    ksq = mode_ksq(tr.n_modes)
-    arg = _sigma_grid(window, tau)[:, None, None] - ksq[None, :, :]
-    dsq = 4.0 * np.sin(0.5 * tau * arg) ** 2 / (tau * tau)
-    w = (1.0 + ksq[None, :, :]) ** s * (1.0 + dsq) ** b
+    w = _bourgain_weight(window, tau, tr.n_modes, s, b)
     dsigma = 2.0 * np.pi / (window * tau)
     total = float(np.sum(w * (values.real**2 + values.imag**2)))
     return float(np.sqrt(2.0 * np.pi * dsigma * total))
@@ -184,11 +204,14 @@ class ProbeResult:
 
 def estimate_probe(
     trajectories: Iterable[tuple[int, Trajectory]],
-    estimate_id: str,
+    estimate_ids: Sequence[str],
     s: float = 1.0,
     b: float = 0.6,
-) -> ProbeResult:
-    """Measure lhs/rhs ratios of one inequality over an ensemble.
+) -> tuple[ProbeResult, ...]:
+    """Measure lhs/rhs ratios of each named inequality over an ensemble.
+
+    One pass over ``trajectories`` evaluates every id in ``estimate_ids``;
+    the results come back in the order of the ids.
 
     ``embedding_inf_Hs`` compares the sup-in-time H^s norm against the
     (s, b) space-time norm and needs b > 1/2.  ``strichartz_l4`` compares
@@ -200,30 +223,36 @@ def estimate_probe(
     Parameters mirror the standing exponent ranges: s > 0 and
     1/2 < b < max(3/4, 1/2 + s/4), leaving 1 - b in (1/4, 1/2).
     """
-    if estimate_id not in ESTIMATE_IDS:
-        raise ValueError(f"unknown estimate_id {estimate_id!r}, expected one of {ESTIMATE_IDS}")
+    if isinstance(estimate_ids, str) or not estimate_ids:
+        raise ValueError(f"estimate_ids must be a non-empty sequence of ids, got {estimate_ids!r}")
+    for estimate_id in estimate_ids:
+        if estimate_id not in ESTIMATE_IDS:
+            raise ValueError(
+                f"unknown estimate_id {estimate_id!r}, expected one of {ESTIMATE_IDS}")
     if not (0.5 < b < 1.0):
         raise ValueError(f"b must lie in (1/2, 1), got {b}")
     if not (s > 0.0):
         raise ValueError(f"s must be > 0, got {s}")
-    rows: list[ProbeRow] = []
-    skipped = 0
+    rows: list[list[ProbeRow]] = [[] for _ in estimate_ids]
+    skipped = [0] * len(estimate_ids)
     for seed, tr in trajectories:
-        if estimate_id == "embedding_inf_Hs":
-            lhs = trajectory_sup_sobolev(tr, s)
-            rhs = bourgain_norm(tr, s, b)
-        else:
-            lhs = trajectory_l4(Trajectory(tr.tau, project_array(tr.coeffs, tr.tau)))
-            rhs = bourgain_norm(tr, s / 2.0, 1.0 - b)
-        if rhs == 0.0:
-            if lhs == 0.0:
-                skipped += 1
-                continue
-            raise RuntimeError(
-                f"internal error: zero space-time norm with nonzero lhs ({estimate_id})"
-            )
-        rows.append(ProbeRow(estimate_id, tr.tau, seed, lhs, rhs, lhs / rhs))
-    return ProbeResult(estimate_id, tuple(rows), skipped)
+        for j, estimate_id in enumerate(estimate_ids):
+            if estimate_id == "embedding_inf_Hs":
+                lhs = trajectory_sup_sobolev(tr, s)
+                rhs = bourgain_norm(tr, s, b)
+            else:
+                lhs = trajectory_l4(Trajectory(tr.tau, project_array(tr.coeffs, tr.tau)))
+                rhs = bourgain_norm(tr, s / 2.0, 1.0 - b)
+            if rhs == 0.0:
+                if lhs == 0.0:
+                    skipped[j] += 1
+                    continue
+                raise RuntimeError(
+                    f"internal error: zero space-time norm with nonzero lhs ({estimate_id})"
+                )
+            rows[j].append(ProbeRow(estimate_id, tr.tau, seed, lhs, rhs, lhs / rhs))
+    return tuple(ProbeResult(estimate_id, tuple(r), k)
+                 for estimate_id, r, k in zip(estimate_ids, rows, skipped))
 
 
 def _envelope(seed: int, window: int) -> np.ndarray:
@@ -258,11 +287,10 @@ def probe_ensemble(
     for i in range(count):
         seed = seed0 + i
         base = seed * 1_000_003
-        stack = np.empty((window, n_modes, n_modes), dtype=np.complex128)
         if i % 2 == 0:
-            for m in range(window):
-                stack[m] = generate(RoughDataSpec(s=1.0, seed=base + m, n_modes=n_modes)).coeffs
+            stack = generate_stack(RoughDataSpec(s=1.0, seed=base, n_modes=n_modes), window)
         else:
+            stack = np.empty((window, n_modes, n_modes), dtype=np.complex128)
             v = generate(RoughDataSpec(s=1.0, seed=base, n_modes=n_modes)).coeffs
             env = _envelope(base + 7, window)
             for m in range(window):

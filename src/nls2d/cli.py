@@ -145,9 +145,12 @@ def _parse_alternates(text: str) -> list[tuple[int, float]]:
     out = []
     for part in text.split(","):
         k, _, tau = part.partition(":")
-        if not tau:
-            raise ValueError(f"expected K:TAU, got {part!r}")
-        out.append((int(k), harness.parse_dyadic(tau)))
+        try:
+            if not tau:
+                raise ValueError("expected K:TAU")
+            out.append((int(k), harness.parse_dyadic(tau)))
+        except ValueError as exc:
+            raise ValueError(f"--reference-sensitivity: bad entry {part!r}: {exc}") from None
     return out
 
 
@@ -181,13 +184,16 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     estimates = bourgain.ESTIMATE_IDS if args.estimate == "all" else (args.estimate,)
+    per_tau = [
+        bourgain.estimate_probe(
+            bourgain.probe_ensemble(args.trajectories, tau, args.grid, args.window,
+                                    seed0=args.seed),
+            estimates, s=args.s, b=args.b)
+        for tau in args.tau
+    ]
     results = []
-    for estimate_id in estimates:
-        for tau in args.tau:
-            ensemble = bourgain.probe_ensemble(
-                args.trajectories, tau, args.grid, args.window, seed0=args.seed
-            )
-            result = bourgain.estimate_probe(ensemble, estimate_id, s=args.s, b=args.b)
+    for estimate_id, by_tau in zip(estimates, zip(*per_tau)):
+        for tau, result in zip(args.tau, by_tau):
             results.append(result)
             print(f"{estimate_id} tau={tau:g}: max_ratio={result.max_ratio:.6g} "
                   f"over {len(result.rows)} trajectories")

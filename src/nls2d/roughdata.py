@@ -17,19 +17,24 @@ seeds give bit-identical fields everywhere:
   ``2 * ((z >> 11) * 2**-53) - 1``;
 * draws are consumed in row-major mode order (k1 outer, k2 inner, both
   ascending), real part first, imaginary part second.
+
+:func:`generate_stack` builds the data of consecutive seeds at once: one
+(count, 2*N*N) block of the stream, one decay weight, and one ``l2_norm``
+per slice.  The uint64 arithmetic and the scaling are elementwise, so each
+slice is bit for bit the field :func:`generate` builds for its seed.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
 
 from .spectral import SpectralField, l2_norm, mode_ksq
 
-__all__ = ["RoughDataSpec", "rng_stream", "uniform_block", "generate"]
+__all__ = ["RoughDataSpec", "rng_stream", "uniform_block", "generate", "generate_stack"]
 
 logger = logging.getLogger(__name__)
 
@@ -55,16 +60,21 @@ def rng_stream(seed: int) -> Iterator[float]:
         yield 2.0 * ((z >> 11) * 2.0**-53) - 1.0
 
 
-def uniform_block(seed: int, count: int) -> np.ndarray:
-    """First ``count`` draws of the stream for ``seed``, as a float array."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+def _uniform(seeds: np.ndarray, count: int) -> np.ndarray:
+    """First ``count`` draws for each uint64 seed in ``seeds``, shape ``(*seeds.shape, count)``."""
     i = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK64) + i * np.uint64(_GAMMA)
+    z = seeds[..., None] + i * np.uint64(_GAMMA)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     z = z ^ (z >> np.uint64(31))
     return 2.0 * ((z >> np.uint64(11)).astype(np.float64) * 2.0**-53) - 1.0
+
+
+def uniform_block(seed: int, count: int) -> np.ndarray:
+    """First ``count`` draws of the stream for ``seed``, as a float array."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    return _uniform(np.asarray(seed & _MASK64, dtype=np.uint64), count)
 
 
 @dataclass(frozen=True)
@@ -103,6 +113,14 @@ class RoughDataSpec:
             raise ValueError(f"n_modes must be an even integer >= 2, got {self.n_modes}")
 
 
+def _decayed(draws: np.ndarray, spec: RoughDataSpec) -> np.ndarray:
+    """Decay-weighted coefficients (..., N, N) from interleaved draws (..., 2*N*N)."""
+    n = spec.n_modes
+    shape = (*draws.shape[:-1], n, n)
+    g = draws[..., 0::2].reshape(shape) + 1j * draws[..., 1::2].reshape(shape)
+    return (1.0 + mode_ksq(n)) ** (-(spec.s + 1.0 + spec.eps) / 2.0) * g
+
+
 def generate(spec: RoughDataSpec) -> SpectralField:
     """Build the datum described by ``spec``.
 
@@ -114,12 +132,31 @@ def generate(spec: RoughDataSpec) -> SpectralField:
     n = spec.n_modes
     seed = spec.seed
     while True:
-        draws = uniform_block(seed, 2 * n * n)
-        g = draws[0::2].reshape(n, n) + 1j * draws[1::2].reshape(n, n)
-        raw = (1.0 + mode_ksq(n)) ** (-(spec.s + 1.0 + spec.eps) / 2.0) * g
+        raw = _decayed(uniform_block(seed, 2 * n * n), spec)
         norm = l2_norm(SpectralField(n, raw))
         if norm > 0.0:
             break
         logger.warning("all draws zero for seed %d; retrying with seed %d", seed, seed + 1)
         seed += 1
     return SpectralField(n, raw * (spec.target_l2 / norm))
+
+
+def generate_stack(spec: RoughDataSpec, count: int) -> np.ndarray:
+    """The data of seeds ``spec.seed .. spec.seed + count - 1``, as one (count, N, N) stack.
+
+    Slice m is bit for bit ``generate(replace(spec, seed=spec.seed + m)).coeffs``:
+    the (count, 2*N*N) block of draws, the decay weight and the scaling are
+    the same elementwise operations, and each slice is normalized by its own
+    ``l2_norm``.  A slice whose draws are all zero is left to
+    :func:`generate`, which bumps its seed.
+    """
+    n = spec.n_modes
+    seeds = np.array([(spec.seed + m) & _MASK64 for m in range(count)], dtype=np.uint64)
+    raw = _decayed(_uniform(seeds, 2 * n * n), spec)
+    for m, c in enumerate(raw):
+        norm = l2_norm(SpectralField(n, c))
+        if norm > 0.0:
+            c *= spec.target_l2 / norm
+        else:
+            c[...] = generate(replace(spec, seed=spec.seed + m)).coeffs
+    return raw

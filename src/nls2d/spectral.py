@@ -155,8 +155,15 @@ def synthesize_array(coeffs: np.ndarray, n_points: int | None = None) -> np.ndar
         raise ValueError(f"target grid {m} is coarser than the mode lattice {n}")
     if m % 2 != 0:
         raise ValueError(f"target grid size must be even, got {m}")
-    c = coeffs if m == n else _zero_pad(coeffs, m)
-    return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(c, (-2, -1))), (-2, -1)) * (m * m)
+    # Mode k goes to slot k mod m: the ifftshift of the zero-padded array,
+    # built without padding or rolling a copy first.
+    h = n // 2
+    c = np.zeros((*coeffs.shape[:-2], m, m), dtype=np.complex128)
+    c[..., :h, :h] = coeffs[..., h:, h:]
+    c[..., :h, m - h:] = coeffs[..., h:, :h]
+    c[..., m - h:, :h] = coeffs[..., :h, h:]
+    c[..., m - h:, m - h:] = coeffs[..., :h, :h]
+    return np.fft.fftshift(np.fft.ifft2(c), (-2, -1)) * (m * m)
 
 
 def project(f: SpectralField, theta: float) -> SpectralField:

@@ -275,11 +275,11 @@ def test_criterion_09_estimate_probes():
             maxima = []
             for tau in taus:
                 ensemble = list(probe_ensemble(100, tau, 16, window=16))
-                res = estimate_probe(ensemble, estimate_id)
+                res = estimate_probe(ensemble, (estimate_id,))[0]
                 assert len(res.rows) == 100 and res.skipped == 0
                 assert np.isfinite(res.ratios).all()
                 scaled = estimate_probe(
-                    [(seed, tr.scaled(17.0)) for seed, tr in ensemble], estimate_id)
+                    [(seed, tr.scaled(17.0)) for seed, tr in ensemble], (estimate_id,))[0]
                 np.testing.assert_allclose(scaled.ratios, res.ratios, rtol=1e-12)
                 maxima.append(res.max_ratio)
             factor = max(maxima) / min(maxima)

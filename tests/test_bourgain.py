@@ -8,6 +8,7 @@ import pytest
 from nls2d.bourgain import (
     ESTIMATE_IDS,
     Trajectory,
+    _bourgain_weight,
     _sigma_grid,
     bourgain_norm,
     estimate_probe,
@@ -145,6 +146,13 @@ class TestNormReductions:
             want = brute_force_bourgain_norm(padded, s, b)
             assert abs(got - want) <= 1e-10 * want
 
+    def test_cached_weight_is_read_only(self):
+        w = _bourgain_weight(8, 0.25, 8, 1.0, 0.6)
+        assert w.shape == (8, 8, 8)
+        with pytest.raises(ValueError, match="read-only"):
+            w *= 2.0
+        assert _bourgain_weight(8, 0.25, 8, 1.0, 0.6) is w
+
     def test_window_extension_changes_weighted_norm(self):
         # zero extension adds edge content once b > 0, so extended windows
         # are a different (finite) number, not a refinement
@@ -206,15 +214,37 @@ class TestProbes:
     def test_validation(self):
         tr = random_trajectory(0.25, 4, 4)
         with pytest.raises(ValueError, match="unknown estimate_id"):
-            estimate_probe([(0, tr)], "no_such_probe")
+            estimate_probe([(0, tr)], ("no_such_probe",))
         with pytest.raises(ValueError, match="b must"):
-            estimate_probe([(0, tr)], "embedding_inf_Hs", b=0.5)
+            estimate_probe([(0, tr)], ("embedding_inf_Hs",), b=0.5)
         with pytest.raises(ValueError, match="s must"):
-            estimate_probe([(0, tr)], "embedding_inf_Hs", s=0.0)
+            estimate_probe([(0, tr)], ("embedding_inf_Hs",), s=0.0)
+        for ids in ("embedding_inf_Hs", ()):
+            with pytest.raises(ValueError, match="non-empty sequence"):
+                estimate_probe([(0, tr)], ids)
+
+    def test_validates_before_consuming(self):
+        def never_drawn():
+            raise AssertionError("the ensemble was consumed")
+            yield
+
+        for ids, kwargs in (((*ESTIMATE_IDS, "bad"), {}), (ESTIMATE_IDS, {"b": 1.0})):
+            with pytest.raises(ValueError):
+                estimate_probe(never_drawn(), ids, **kwargs)
+
+    def test_one_pass_equals_single_estimates(self):
+        """Every estimate of one pass matches its own single-id call, row for
+        row, in the order the ids are given."""
+        trs = list(probe_ensemble(6, 2.0**-5, 8, window=8, seed0=11))
+        for ids in (ESTIMATE_IDS, ESTIMATE_IDS[::-1]):
+            results = estimate_probe(iter(trs), ids, s=0.9, b=0.7)
+            assert [r.estimate_id for r in results] == list(ids)
+            for res in results:
+                assert res == estimate_probe(trs, (res.estimate_id,), s=0.9, b=0.7)[0]
 
     def test_zero_trajectory_skipped(self):
         tr = Trajectory(0.25, np.zeros((2, 4, 4), dtype=np.complex128))
-        res = estimate_probe([(0, tr)], "embedding_inf_Hs")
+        res, = estimate_probe([(0, tr)], ("embedding_inf_Hs",))
         assert res.skipped == 1 and res.rows == ()
         with pytest.raises(ValueError, match="no usable"):
             res.max_ratio
@@ -222,7 +252,7 @@ class TestProbes:
     def test_single_snapshot_trajectory_included(self):
         tr = Trajectory(0.25, plane_wave(8, 0.3, (1, 1)).coeffs[None])
         for estimate_id in ESTIMATE_IDS:
-            res = estimate_probe([(5, tr)], estimate_id)
+            res, = estimate_probe([(5, tr)], (estimate_id,))
             assert res.skipped == 0 and len(res.rows) == 1
             assert res.rows[0].seed == 5
             assert np.isfinite(res.rows[0].ratio)
@@ -230,8 +260,8 @@ class TestProbes:
     def test_ratios_scale_invariant(self):
         trs = list(probe_ensemble(4, 0.125, 8, window=8))
         for estimate_id in ESTIMATE_IDS:
-            base = estimate_probe(trs, estimate_id)
-            scaled = estimate_probe([(s, tr.scaled(37.5)) for s, tr in trs], estimate_id)
+            base, = estimate_probe(trs, (estimate_id,))
+            scaled, = estimate_probe([(s, tr.scaled(37.5)) for s, tr in trs], (estimate_id,))
             np.testing.assert_allclose(scaled.ratios, base.ratios, rtol=1e-12)
 
     def test_ensemble_deterministic(self):
@@ -244,7 +274,7 @@ class TestProbes:
     def test_embedding_lhs_bounded_by_window_max(self):
         """The embedding lhs is exactly the max H^s over snapshots."""
         trs = list(probe_ensemble(2, 0.25, 8, window=6))
-        res = estimate_probe(trs, "embedding_inf_Hs", s=1.0, b=0.6)
+        res, = estimate_probe(trs, ("embedding_inf_Hs",), s=1.0, b=0.6)
         for row, (_, tr) in zip(res.rows, trs):
             assert row.lhs == max(sobolev_norm(f, 1.0) for f in snapshot_fields(tr))
 
@@ -254,12 +284,12 @@ class TestProbes:
         for estimate_id in ESTIMATE_IDS:
             maxima = []
             for tau in (2.0**-4, 2.0**-6, 2.0**-8):
-                res = estimate_probe(probe_ensemble(12, tau, 16, window=16), estimate_id)
+                res, = estimate_probe(probe_ensemble(12, tau, 16, window=16), (estimate_id,))
                 maxima.append(res.max_ratio)
             assert max(maxima) / min(maxima) < 4.0
 
     def test_report_round_trip(self, tmp_path):
-        res = estimate_probe(probe_ensemble(3, 0.25, 8, window=4), "strichartz_l4")
+        res, = estimate_probe(probe_ensemble(3, 0.25, 8, window=4), ("strichartz_l4",))
         out = tmp_path / "probes.csv"
         write_probe_report([res], out)
         with open(out, newline="") as fh:
@@ -272,11 +302,11 @@ class TestProbes:
     def test_report_write_is_atomic(self, tmp_path):
         """A write that fails part way leaves the previous report whole."""
         out = tmp_path / "probes.csv"
-        write_probe_report([estimate_probe(probe_ensemble(3, 0.25, 8, 4), "strichartz_l4")], out)
+        write_probe_report(estimate_probe(probe_ensemble(3, 0.25, 8, 4), ("strichartz_l4",)), out)
         first = out.read_bytes()
 
         def dies_after_one_result():
-            yield estimate_probe(probe_ensemble(3, 0.5, 8, 4), "embedding_inf_Hs")
+            yield from estimate_probe(probe_ensemble(3, 0.5, 8, 4), ("embedding_inf_Hs",))
             raise RuntimeError("killed mid-write")
 
         with pytest.raises(RuntimeError, match="mid-write"):
@@ -291,22 +321,23 @@ class TestStackMatchesSnapshots:
     @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize("tau", [2.0**-4, 2.0**-8])
     def test_bit_exact(self, n, tau):
-        stacked = list(probe_ensemble(4, tau, n, window=16, seed0=3))
-        fields = list(snapshot_ensemble(4, tau, n, window=16, seed0=3))
-        for (seed, tr), (want_seed, want) in zip(stacked, fields):  # both families
-            assert seed == want_seed and np.array_equal(tr.coeffs, want.coeffs)
-            assert trajectory_sup_sobolev(tr, 1.0) == snapshot_sup_sobolev(tr, 1.0)
-            assert trajectory_l4(tr) == snapshot_l4(tr)
-            # one sum over the stack instead of a vdot per snapshot: a reordering
-            per_field = np.sqrt(tr.tau * sum(l2_norm(f) ** 2 for f in snapshot_fields(tr)))
-            assert trajectory_l2(tr) == pytest.approx(per_field, rel=1e-13, abs=0.0)
-            filtered = snapshot_project(tr, tau)
-            assert np.array_equal(project_array(tr.coeffs, tau), filtered.coeffs)
-            truncated = np.count_nonzero(filtered.coeffs) < filtered.coeffs.size
-            assert truncated == (tau**-0.5 < n / 2)  # the filter bites at tau = 2^-4
-        for estimate_id in ESTIMATE_IDS:
-            rows = estimate_probe(stacked, estimate_id).rows
-            assert rows == snapshot_probe_rows(fields, estimate_id)
+        for seed0 in (3, -3, 2**45):  # also negative, and seed * 1_000_003 past 2**64
+            stacked = list(probe_ensemble(4, tau, n, window=16, seed0=seed0))
+            fields = list(snapshot_ensemble(4, tau, n, window=16, seed0=seed0))
+            for (seed, tr), (want_seed, want) in zip(stacked, fields):  # both families
+                assert seed == want_seed and np.array_equal(tr.coeffs, want.coeffs)
+                assert trajectory_sup_sobolev(tr, 1.0) == snapshot_sup_sobolev(tr, 1.0)
+                assert trajectory_l4(tr) == snapshot_l4(tr)
+                # one sum over the stack instead of a vdot per snapshot: a reordering
+                per_field = np.sqrt(tr.tau * sum(l2_norm(f) ** 2 for f in snapshot_fields(tr)))
+                assert trajectory_l2(tr) == pytest.approx(per_field, rel=1e-13, abs=0.0)
+                filtered = snapshot_project(tr, tau)
+                assert np.array_equal(project_array(tr.coeffs, tau), filtered.coeffs)
+                truncated = np.count_nonzero(filtered.coeffs) < filtered.coeffs.size
+                assert truncated == (tau**-0.5 < n / 2)  # the filter bites at tau = 2^-4
+            for estimate_id in ESTIMATE_IDS:
+                rows = estimate_probe(stacked, (estimate_id,))[0].rows
+                assert rows == snapshot_probe_rows(fields, estimate_id)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from nls2d.snapshot import load_field, save_field
 from nls2d.spectral import l2_norm
 
 from oracles import plane_wave, plane_wave_solution
+
+# probes.csv as written at commit fbf1273, one ensemble per estimate; it must not change.
+PROBES_GOLDEN = Path(__file__).parent / "data" / "probes_golden.csv"
 
 
 class TestGenerate:
@@ -159,14 +163,17 @@ workers = 2
         assert not (tmp_path / "ignored").exists()
         assert "ref K=32 tau=" in text
 
-    @pytest.mark.parametrize("alternates", ["64", "16:2^-10"])
+    @pytest.mark.parametrize("alternates", ["64", "16:2^-10", "abc:2^-14"])
     def test_bad_sensitivity_exits_2_before_sweep(self, tmp_path, capsys, alternates):
         """Alternative references are validated before the main sweep runs."""
         cfg = tmp_path / "study.cfg"
         cfg.write_text(self.CONFIG.format(out=tmp_path / "out", cache=tmp_path / "cache"))
         code = main(["converge", "--config", str(cfg), "--reference-sensitivity", alternates])
         assert code == EXIT_INVALID
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if alternates in ("64", "abc:2^-14"):  # malformed, not out of range
+            assert f"--reference-sensitivity: bad entry {alternates!r}" in err
         assert not (tmp_path / "out" / "records.csv").exists()
 
     def test_bad_config_exits_2(self, tmp_path):
@@ -189,6 +196,30 @@ class TestDiagnose:
         assert lines[0] == "estimate_id,tau,seed,lhs,rhs,ratio"
         assert len(lines) == 1 + 2 * 4
         assert capsys.readouterr().out.count("max_ratio=") == 2
+
+    def test_rewrites_golden_report(self, tmp_path, capsys):
+        """The report of a fixed sweep is byte-stable."""
+        out = tmp_path / "probes.csv"
+        code = main(["diagnose", "--tau", "2^-4", "--tau", "2^-8", "--trajectories", "6",
+                     "--window", "8", "--grid", "8", "--seed", "3", "--out", str(out)])
+        assert code == EXIT_OK
+        assert out.read_bytes() == PROBES_GOLDEN.read_bytes()
+        assert capsys.readouterr().out.splitlines()[:-1] == [
+            "embedding_inf_Hs tau=0.0625: max_ratio=0.653025 over 6 trajectories",
+            "embedding_inf_Hs tau=0.00390625: max_ratio=0.86493 over 6 trajectories",
+            "strichartz_l4 tau=0.0625: max_ratio=0.251771 over 6 trajectories",
+            "strichartz_l4 tau=0.00390625: max_ratio=0.278814 over 6 trajectories",
+        ]
+
+    def test_single_estimate_writes_only_its_rows(self, tmp_path):
+        out = tmp_path / "probes.csv"
+        code = main(["diagnose", "--estimate", "strichartz_l4", "--tau", "2^-4", "--tau", "2^-8",
+                     "--trajectories", "6", "--window", "8", "--grid", "8", "--seed", "3",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        golden = PROBES_GOLDEN.read_text().splitlines()
+        want = [golden[0], *(line for line in golden[1:] if line.startswith("strichartz_l4,"))]
+        assert out.read_text().splitlines() == want
 
     def test_bad_b_exits_2(self, tmp_path):
         code = main(["diagnose", "--estimate", "all", "--tau", "2^-4",

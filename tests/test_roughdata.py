@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import nls2d.roughdata as roughdata
-from nls2d.roughdata import RoughDataSpec, generate, rng_stream, uniform_block
+from nls2d.roughdata import RoughDataSpec, generate, generate_stack, rng_stream, uniform_block
 from nls2d.spectral import l2_norm, mode_values
 
 from oracles import splitmix64_reference
@@ -124,6 +124,36 @@ class TestGenerate:
         assert any("retrying" in r.message for r in caplog.records)
         monkeypatch.undo()
         assert np.array_equal(f.coeffs, generate(RoughDataSpec(s=1.0, seed=51, n_modes=8)).coeffs)
+
+    @pytest.mark.parametrize("seed", [5, -3, 2**45 * 1_000_003, 2**64 - 2])
+    def test_stack_matches_generate(self, seed):
+        """Each slice of the batched draw is ``generate``'s field, bit for bit,
+        also for negative seeds and seeds that wrap mod 2**64."""
+        spec = RoughDataSpec(s=0.8, seed=seed, n_modes=8, target_l2=2.5)
+        stack = generate_stack(spec, 5)
+        assert stack.shape == (5, 8, 8)
+        for m, c in enumerate(stack):
+            want = generate(RoughDataSpec(s=0.8, seed=seed + m, n_modes=8, target_l2=2.5))
+            assert np.array_equal(c, want.coeffs)
+
+    def test_stack_zero_draw_retry(self, monkeypatch, caplog):
+        """An all-zero slice of the batched draw gets ``generate``'s seed bump."""
+        real_uniform = roughdata._uniform
+
+        def zero_seed_52(seeds, count):
+            draws = real_uniform(seeds, count)
+            draws[seeds == 52] = 0.0
+            return draws
+
+        monkeypatch.setattr(roughdata, "_uniform", zero_seed_52)
+        with caplog.at_level(logging.WARNING, logger="nls2d.roughdata"):
+            stack = generate_stack(RoughDataSpec(s=1.0, seed=50, n_modes=8), 4)
+        assert [r.message for r in caplog.records] == [
+            "all draws zero for seed 52; retrying with seed 53"]
+        monkeypatch.undo()
+        for m, seed in enumerate((50, 51, 53, 53)):
+            want = generate(RoughDataSpec(s=1.0, seed=seed, n_modes=8)).coeffs
+            assert np.array_equal(stack[m], want)
 
     def test_tail_decay_rate(self):
         """Weighted tail mass follows the documented power law.
