@@ -33,17 +33,19 @@ zeros, append zero slices to the stack.  Window length matters:
 the zero extension introduces edge transitions whose weighted content
 grows with b, so comparisons across window lengths are only meaningful at
 fixed M.  All probe sweeps here hold M fixed while tau varies.
-:func:`estimate_probe` evaluates every requested estimate in one pass over
-an ensemble, one trajectory at a time.  Temporally rough probes draw their
-M snapshots in one call of :func:`nls2d.roughdata.generate_stack`;
-free-flow probes take their phase from :func:`nls2d.spectral.free_phase`.
+:func:`probe_ensemble` draws each seed once for every step of a sweep:
+temporally rough probes share one :func:`nls2d.roughdata.generate_stack`
+stack, and free flows take an (M, N, N) phase stack of
+:func:`nls2d.spectral.free_phase` built once per step.
+:func:`estimate_probe` evaluates every estimate in one pass, reusing a
+shared stack's tau-free values, and each trajectory caches its ``|F|^2``.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -51,7 +53,8 @@ import numpy as np
 
 from .roughdata import RoughDataSpec, generate, generate_stack, uniform_block
 from .snapshot import staged
-from .spectral import _validate_square, free_phase, mode_ksq, project_array, synthesize_array
+from .spectral import (_fft_slots, _validate_square, free_phase, mode_ksq, project_array,
+                       window_mask)
 
 __all__ = [
     "Trajectory",
@@ -71,7 +74,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots u_0 .. u_{M-1} taken every tau, as one complex (M, N, N) stack."""
+    """Snapshots u_0 .. u_{M-1} taken every tau, as one complex (M, N, N) stack.
+
+    Values derived from the stack are cached: do not change it once built.
+    """
 
     tau: float
     coeffs: np.ndarray
@@ -95,6 +101,26 @@ class Trajectory:
     def scaled(self, factor: complex) -> "Trajectory":
         return Trajectory(self.tau, factor * self.coeffs)
 
+    @cached_property
+    def power(self) -> np.ndarray:
+        """``|F|^2`` of :func:`time_space_transform`, computed once per trajectory."""
+        values = time_space_transform(self)
+        return values.real**2 + values.imag**2
+
+    @cached_property
+    def l4_sum(self) -> float:
+        """The tau-free sum of :func:`trajectory_l4`: ``trajectory_l4 = (tau * l4_sum)**0.25``."""
+        m = 2 * self.n_modes
+        c = _fft_slots(self.coeffs, m)
+        np.fft.ifftn(c, axes=(-2, -1), out=c)  # synthesis on the doubled grid, in place
+        c *= m * m
+        v = np.fft.fftshift(c.real**2 + c.imag**2, axes=(-2, -1))
+        cell = (2.0 * np.pi / m) ** 2
+        total = 0.0
+        for q in np.sum((v * v).reshape(len(v), -1), axis=1):  # each slice's np.sum, bit for bit
+            total += cell * float(q)
+        return total
+
 
 def _sigma_grid(window: int, tau: float) -> np.ndarray:
     m = np.arange(-(window // 2), window - window // 2, dtype=np.float64)
@@ -115,13 +141,14 @@ def time_space_transform(tr: Trajectory) -> np.ndarray:
     return np.fft.fftshift(vals, axes=0)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=32)
 def _bourgain_weight(window: int, tau: float, n: int, s: float, b: float) -> np.ndarray:
     """The (M, N, N) weight ``(1 + |k|^2)**s * (1 + |d(sigma - |k|^2)|^2)**b``.
 
-    Cached, because every trajectory of an ensemble shares (window, tau, n)
-    and a probe needs two (s, b) pairs.  Every caller shares the cached
-    array, so it is read-only.
+    Cached, because every trajectory of an ensemble shares (window, n) and
+    a probe needs two (s, b) pairs per tau; a seed-major sweep visits every
+    tau per seed, so the cache holds sweeps of up to 16 steps.  Every
+    caller shares the cached array, so it is read-only.
     """
     ksq = mode_ksq(n)
     arg = _sigma_grid(window, tau)[:, None, None] - ksq[None, :, :]
@@ -138,11 +165,10 @@ def bourgain_norm(tr: Trajectory, s: float, b: float) -> float:
     ``(1 + |d(sigma - |k|^2)|^2)**b`` is smallest where sigma tracks the
     free dispersion relation, so free-flow trajectories score low for b > 0.
     """
-    values = time_space_transform(tr)
     tau, window = tr.tau, len(tr)
     w = _bourgain_weight(window, tau, tr.n_modes, s, b)
     dsigma = 2.0 * np.pi / (window * tau)
-    total = float(np.sum(w * (values.real**2 + values.imag**2)))
+    total = float(np.sum(w * tr.power))
     return float(np.sqrt(2.0 * np.pi * dsigma * total))
 
 
@@ -163,13 +189,7 @@ def trajectory_l4(tr: Trajectory) -> float:
     Each spatial integral uses quadrature on a doubled grid, which is exact
     for the quartic product of band-limited snapshots.
     """
-    g = synthesize_array(tr.coeffs, 2 * tr.n_modes)
-    v = g.real**2 + g.imag**2
-    cell = (2.0 * np.pi / g.shape[-1]) ** 2
-    total = 0.0
-    for q in np.sum((v * v).reshape(len(v), -1), axis=1):  # each slice's np.sum, bit for bit
-        total += cell * float(q)
-    return float((tr.tau * total) ** 0.25)
+    return float((tr.tau * tr.l4_sum) ** 0.25)
 
 
 ESTIMATE_IDS = ("embedding_inf_Hs", "strichartz_l4")
@@ -211,7 +231,9 @@ def estimate_probe(
     """Measure lhs/rhs ratios of each named inequality over an ensemble.
 
     One pass over ``trajectories`` evaluates every id in ``estimate_ids``;
-    the results come back in the order of the ids.
+    the results come back in the order of the ids.  Consecutive
+    trajectories on one coefficient stack (a rough seed of
+    :func:`probe_ensemble`) share its tau-free values.
 
     ``embedding_inf_Hs`` compares the sup-in-time H^s norm against the
     (s, b) space-time norm and needs b > 1/2.  ``strichartz_l4`` compares
@@ -235,13 +257,21 @@ def estimate_probe(
         raise ValueError(f"s must be > 0, got {s}")
     rows: list[list[ProbeRow]] = [[] for _ in estimate_ids]
     skipped = [0] * len(estimate_ids)
+    stack = None
     for seed, tr in trajectories:
+        if tr.coeffs is not stack:  # a new stack: drop the last one's tau-free values
+            stack, sup, l4_sums = tr.coeffs, None, {}
         for j, estimate_id in enumerate(estimate_ids):
             if estimate_id == "embedding_inf_Hs":
-                lhs = trajectory_sup_sobolev(tr, s)
+                lhs = sup = trajectory_sup_sobolev(tr, s) if sup is None else sup
                 rhs = bourgain_norm(tr, s, b)
             else:
-                lhs = trajectory_l4(Trajectory(tr.tau, project_array(tr.coeffs, tr.tau)))
+                window = tuple(window_mask(tr.n_modes, tr.tau).tolist())
+                if window in l4_sums:
+                    lhs = float((tr.tau * l4_sums[window]) ** 0.25)
+                else:  # trajectory_l4 caches the sum on the filtered trajectory
+                    filtered = Trajectory(tr.tau, project_array(tr.coeffs, tr.tau))
+                    lhs, l4_sums[window] = trajectory_l4(filtered), filtered.l4_sum
                 rhs = bourgain_norm(tr, s / 2.0, 1.0 - b)
             if rhs == 0.0:
                 if lhs == 0.0:
@@ -271,31 +301,39 @@ def _envelope(seed: int, window: int) -> np.ndarray:
 
 def probe_ensemble(
     count: int,
-    tau: float,
+    taus: Sequence[float],
     n_modes: int,
     window: int,
     seed0: int = 0,
 ) -> Iterator[tuple[int, Trajectory]]:
-    """Deterministic trajectory ensemble for the estimate probes.
+    """Deterministic trajectory ensemble for the estimate probes, seed by seed.
 
     Alternates two families of s = 1 rough data: snapshot sequences of
     independent rough fields (temporally rough) and randomly modulated free
     flows (temporally coherent, concentrated near the dispersion relation).
-    Seeds derive from ``seed0`` so equal arguments reproduce the ensemble
-    exactly.
+    Each seed draws its data once and yields one trajectory per step in
+    ``taus``, in that order (a rough seed's share one stack).  Seeds derive
+    from ``seed0`` so equal arguments reproduce the ensemble exactly.  A
+    repeated or non-positive step is rejected before anything is drawn.
     """
+    for j, tau in enumerate(taus):
+        if not (tau > 0.0 and np.isfinite(tau)):
+            raise ValueError(f"tau {tau} is not a positive finite number")
+        if tau in taus[:j]:
+            raise ValueError(f"tau {tau} is repeated")
+    phases = [np.stack([free_phase(n_modes, m * tau) for m in range(window)]) for tau in taus]
     for i in range(count):
         seed = seed0 + i
-        base = seed * 1_000_003
+        spec = RoughDataSpec(s=1.0, seed=seed * 1_000_003, n_modes=n_modes)
         if i % 2 == 0:
-            stack = generate_stack(RoughDataSpec(s=1.0, seed=base, n_modes=n_modes), window)
+            stack = generate_stack(spec, window)
+            for tau in taus:
+                yield seed, Trajectory(tau, stack)
         else:
-            stack = np.empty((window, n_modes, n_modes), dtype=np.complex128)
-            v = generate(RoughDataSpec(s=1.0, seed=base, n_modes=n_modes)).coeffs
-            env = _envelope(base + 7, window)
-            for m in range(window):
-                stack[m] = env[m] * (v * free_phase(n_modes, m * tau))
-        yield seed, Trajectory(tau, stack)
+            v = generate(spec).coeffs
+            env = _envelope(spec.seed + 7, window)[:, None, None]
+            for tau, phase in zip(taus, phases):
+                yield seed, Trajectory(tau, env * (v * phase))
 
 
 def write_probe_report(results: Sequence[ProbeResult], path: str | Path) -> None:

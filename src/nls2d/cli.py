@@ -184,18 +184,16 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     estimates = bourgain.ESTIMATE_IDS if args.estimate == "all" else (args.estimate,)
-    per_tau = [
-        bourgain.estimate_probe(
-            bourgain.probe_ensemble(args.trajectories, tau, args.grid, args.window,
-                                    seed0=args.seed),
-            estimates, s=args.s, b=args.b)
-        for tau in args.tau
-    ]
+    ensemble = bourgain.probe_ensemble(args.trajectories, args.tau, args.grid, args.window,
+                                       seed0=args.seed)
     results = []
-    for estimate_id, by_tau in zip(estimates, zip(*per_tau)):
-        for tau, result in zip(args.tau, by_tau):
+    # one seed-major pass; the report is estimate-major, then by tau
+    for estimate in bourgain.estimate_probe(ensemble, estimates, s=args.s, b=args.b):
+        for tau in args.tau:
+            result = bourgain.ProbeResult(
+                estimate.estimate_id, tuple(r for r in estimate.rows if r.tau == tau))
             results.append(result)
-            print(f"{estimate_id} tau={tau:g}: max_ratio={result.max_ratio:.6g} "
+            print(f"{result.estimate_id} tau={tau:g}: max_ratio={result.max_ratio:.6g} "
                   f"over {len(result.rows)} trajectories")
     bourgain.write_probe_report(results, args.out)
     print(f"wrote {args.out}")

@@ -35,6 +35,7 @@ __all__ = [
     "synthesize_array",
     "project",
     "project_array",
+    "window_mask",
     "embed",
     "restrict",
     "l2_norm",
@@ -155,15 +156,19 @@ def synthesize_array(coeffs: np.ndarray, n_points: int | None = None) -> np.ndar
         raise ValueError(f"target grid {m} is coarser than the mode lattice {n}")
     if m % 2 != 0:
         raise ValueError(f"target grid size must be even, got {m}")
-    # Mode k goes to slot k mod m: the ifftshift of the zero-padded array,
-    # built without padding or rolling a copy first.
-    h = n // 2
+    return np.fft.fftshift(np.fft.ifft2(_fft_slots(coeffs, m)), (-2, -1)) * (m * m)
+
+
+def _fft_slots(coeffs: np.ndarray, m: int) -> np.ndarray:
+    # A new zeroed (..., m, m) array with mode k in slot k mod m: the
+    # ifftshift of the zero-padded array, built without padding or rolling.
+    h = coeffs.shape[-1] // 2
     c = np.zeros((*coeffs.shape[:-2], m, m), dtype=np.complex128)
     c[..., :h, :h] = coeffs[..., h:, h:]
     c[..., :h, m - h:] = coeffs[..., h:, :h]
     c[..., m - h:, :h] = coeffs[..., :h, h:]
     c[..., m - h:, m - h:] = coeffs[..., :h, :h]
-    return np.fft.fftshift(np.fft.ifft2(c), (-2, -1)) * (m * m)
+    return c
 
 
 def project(f: SpectralField, theta: float) -> SpectralField:
@@ -181,12 +186,17 @@ def project(f: SpectralField, theta: float) -> SpectralField:
 
 def project_array(coeffs: np.ndarray, theta: float) -> np.ndarray:
     """:func:`project` over the last two axes of a (..., N, N) coefficient array."""
+    keep = window_mask(coeffs.shape[-1], theta)
+    return np.where(keep[:, None] & keep[None, :], coeffs, 0.0)
+
+
+def window_mask(n: int, theta: float) -> np.ndarray:
+    """The N booleans ``-cutoff <= k < cutoff`` of :func:`project` along one axis."""
     if not (theta > 0.0) or not np.isfinite(theta):
         raise ValueError(f"theta must be a positive finite number, got {theta}")
     cutoff = float(theta) ** -0.5
-    k = mode_values(coeffs.shape[-1])
-    keep = (k >= -cutoff) & (k < cutoff)
-    return np.where(keep[:, None] & keep[None, :], coeffs, 0.0)
+    k = mode_values(n)
+    return (k >= -cutoff) & (k < cutoff)
 
 
 def _zero_pad(coeffs: np.ndarray, m: int) -> np.ndarray:

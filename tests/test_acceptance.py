@@ -274,7 +274,7 @@ def test_criterion_09_estimate_probes():
         for estimate_id in ESTIMATE_IDS:
             maxima = []
             for tau in taus:
-                ensemble = list(probe_ensemble(100, tau, 16, window=16))
+                ensemble = list(probe_ensemble(100, (tau,), 16, window=16))
                 res = estimate_probe(ensemble, (estimate_id,))[0]
                 assert len(res.rows) == 100 and res.skipped == 0
                 assert np.isfinite(res.ratios).all()

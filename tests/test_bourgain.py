@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+import nls2d.bourgain as bourgain
 from nls2d.bourgain import (
     ESTIMATE_IDS,
     Trajectory,
@@ -20,7 +21,8 @@ from nls2d.bourgain import (
     write_probe_report,
 )
 from nls2d.roughdata import RoughDataSpec, generate
-from nls2d.spectral import NonFiniteFieldError, l2_norm, project_array, sobolev_norm
+from nls2d.spectral import (NonFiniteFieldError, l2_norm, project_array, sobolev_norm,
+                            window_mask)
 from nls2d.splitting import free_flow
 
 from oracles import (
@@ -235,7 +237,7 @@ class TestProbes:
     def test_one_pass_equals_single_estimates(self):
         """Every estimate of one pass matches its own single-id call, row for
         row, in the order the ids are given."""
-        trs = list(probe_ensemble(6, 2.0**-5, 8, window=8, seed0=11))
+        trs = list(probe_ensemble(6, (2.0**-5,), 8, window=8, seed0=11))
         for ids in (ESTIMATE_IDS, ESTIMATE_IDS[::-1]):
             results = estimate_probe(iter(trs), ids, s=0.9, b=0.7)
             assert [r.estimate_id for r in results] == list(ids)
@@ -258,22 +260,22 @@ class TestProbes:
             assert np.isfinite(res.rows[0].ratio)
 
     def test_ratios_scale_invariant(self):
-        trs = list(probe_ensemble(4, 0.125, 8, window=8))
+        trs = list(probe_ensemble(4, (0.125,), 8, window=8))
         for estimate_id in ESTIMATE_IDS:
             base, = estimate_probe(trs, (estimate_id,))
             scaled, = estimate_probe([(s, tr.scaled(37.5)) for s, tr in trs], (estimate_id,))
             np.testing.assert_allclose(scaled.ratios, base.ratios, rtol=1e-12)
 
     def test_ensemble_deterministic(self):
-        a = list(probe_ensemble(4, 0.25, 8, window=4, seed0=9))
-        b = list(probe_ensemble(4, 0.25, 8, window=4, seed0=9))
+        a = list(probe_ensemble(4, (0.25,), 8, window=4, seed0=9))
+        b = list(probe_ensemble(4, (0.25,), 8, window=4, seed0=9))
         for (sa, ta), (sb, tb) in zip(a, b):
             assert sa == sb
             assert np.array_equal(ta.coeffs, tb.coeffs)
 
     def test_embedding_lhs_bounded_by_window_max(self):
         """The embedding lhs is exactly the max H^s over snapshots."""
-        trs = list(probe_ensemble(2, 0.25, 8, window=6))
+        trs = list(probe_ensemble(2, (0.25,), 8, window=6))
         res, = estimate_probe(trs, ("embedding_inf_Hs",), s=1.0, b=0.6)
         for row, (_, tr) in zip(res.rows, trs):
             assert row.lhs == max(sobolev_norm(f, 1.0) for f in snapshot_fields(tr))
@@ -284,12 +286,37 @@ class TestProbes:
         for estimate_id in ESTIMATE_IDS:
             maxima = []
             for tau in (2.0**-4, 2.0**-6, 2.0**-8):
-                res, = estimate_probe(probe_ensemble(12, tau, 16, window=16), (estimate_id,))
+                res, = estimate_probe(probe_ensemble(12, (tau,), 16, window=16), (estimate_id,))
                 maxima.append(res.max_ratio)
             assert max(maxima) / min(maxima) < 4.0
 
+    def test_sweep_work_counts(self, monkeypatch):
+        """A seed-major sweep draws each seed once, transforms each trajectory
+        once and sums each (stack, theta-window) L4 once."""
+        calls: dict[str, int] = {}
+        for name in ("time_space_transform", "generate_stack", "generate", "free_phase",
+                     "trajectory_sup_sobolev", "_fft_slots"):
+            def counted(*args, _real=getattr(bourgain, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(bourgain, name, counted)
+        taus = (2.0**-4, 2.0**-6, 2.0**-8)
+        windows = {tuple(window_mask(16, tau)) for tau in taus}
+        assert len(windows) == 2  # 2^-6 and 2^-8 keep every mode of the 16-lattice
+        _bourgain_weight.cache_clear()
+        estimate_probe(probe_ensemble(10, taus, 16, window=16, seed0=4), ESTIMATE_IDS)
+        assert _bourgain_weight.cache_info().misses == 3 * 2  # (tau, s, b) triples
+        assert calls == {
+            "free_phase": 3 * 16,  # once per (tau, snapshot) of the sweep
+            "generate_stack": 5,  # the five rough seeds
+            "generate": 5,  # the five free-flow seeds
+            "time_space_transform": 30,
+            "trajectory_sup_sobolev": 5 + 15,  # rough seeds share one stack for all taus
+            "_fft_slots": 5 * 2 + 15,  # the L4 sums: one per (stack, window)
+        }
+
     def test_report_round_trip(self, tmp_path):
-        res, = estimate_probe(probe_ensemble(3, 0.25, 8, window=4), ("strichartz_l4",))
+        res, = estimate_probe(probe_ensemble(3, (0.25,), 8, window=4), ("strichartz_l4",))
         out = tmp_path / "probes.csv"
         write_probe_report([res], out)
         with open(out, newline="") as fh:
@@ -302,11 +329,11 @@ class TestProbes:
     def test_report_write_is_atomic(self, tmp_path):
         """A write that fails part way leaves the previous report whole."""
         out = tmp_path / "probes.csv"
-        write_probe_report(estimate_probe(probe_ensemble(3, 0.25, 8, 4), ("strichartz_l4",)), out)
+        write_probe_report(estimate_probe(probe_ensemble(3, (0.25,), 8, 4), ("strichartz_l4",)), out)
         first = out.read_bytes()
 
         def dies_after_one_result():
-            yield from estimate_probe(probe_ensemble(3, 0.5, 8, 4), ("embedding_inf_Hs",))
+            yield from estimate_probe(probe_ensemble(3, (0.5,), 8, 4), ("embedding_inf_Hs",))
             raise RuntimeError("killed mid-write")
 
         with pytest.raises(RuntimeError, match="mid-write"):
@@ -322,7 +349,7 @@ class TestStackMatchesSnapshots:
     @pytest.mark.parametrize("tau", [2.0**-4, 2.0**-8])
     def test_bit_exact(self, n, tau):
         for seed0 in (3, -3, 2**45):  # also negative, and seed * 1_000_003 past 2**64
-            stacked = list(probe_ensemble(4, tau, n, window=16, seed0=seed0))
+            stacked = list(probe_ensemble(4, (tau,), n, window=16, seed0=seed0))
             fields = list(snapshot_ensemble(4, tau, n, window=16, seed0=seed0))
             for (seed, tr), (want_seed, want) in zip(stacked, fields):  # both families
                 assert seed == want_seed and np.array_equal(tr.coeffs, want.coeffs)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nls2d.bourgain as bourgain
 import nls2d.harness as harness
 from nls2d.cli import EXIT_BLOWUP, EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from nls2d.roughdata import RoughDataSpec, generate
@@ -226,6 +227,50 @@ class TestDiagnose:
                      "--trajectories", "2", "--window", "4", "--grid", "8",
                      "--b", "0.4", "--out", str(tmp_path / "p.csv")])
         assert code == EXIT_INVALID
+
+    @pytest.mark.parametrize("second, named",
+                             [("2^-4", "0.0625"), ("0", "0.0"), ("-0.125", "-0.125")])
+    def test_bad_tau_list_exits_2_before_any_draw(self, tmp_path, capsys, monkeypatch,
+                                                  second, named):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an ensemble was drawn")
+
+        monkeypatch.setattr(bourgain, "generate", no_draw)
+        monkeypatch.setattr(bourgain, "generate_stack", no_draw)
+        out = tmp_path / "probes.csv"
+        code = main(["diagnose", "--tau", "2^-4", f"--tau={second}", "--trajectories", "4",
+                     "--out", str(out)])
+        assert code == EXIT_INVALID
+        assert f"tau {named}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("taus", [
+        # at grid 16 the theta-window of 2^-4 is smaller; those of 2^-6 and 2^-8 coincide
+        ("2^-4", "2^-6", "2^-8"),
+        # five steps of 16 snapshots: 73 distinct free phases, more than the 64
+        # that the free_phase cache holds; 0.1 and 0.07 share one window
+        ("2^-8", "0.3", "2^-4", "0.1", "0.07"),
+    ])
+    def test_sweep_equals_one_tau_sweeps(self, tmp_path, taus):
+        """A sweep writes, estimate by estimate, the rows of its one-step sweeps."""
+        def report(estimate, steps, name):
+            out = tmp_path / name
+            argv = ["diagnose", "--estimate", estimate, "--trajectories", "5",
+                    "--seed", "-2", "--out", str(out)]
+            for tau in steps:
+                argv += ["--tau", tau]
+            assert main(argv) == EXIT_OK
+            return out.read_text().splitlines()
+
+        for estimate in ("all", "embedding_inf_Hs", "strichartz_l4"):
+            sweep = report(estimate, taus, "sweep.csv")
+            singles = [report(estimate, [tau], f"{k}.csv")[1:] for k, tau in enumerate(taus)]
+            want = [sweep[0]]
+            for estimate_id in ("embedding_inf_Hs", "strichartz_l4"):
+                for rows in singles:
+                    want += [r for r in rows if r.startswith(estimate_id + ",")]
+            assert sweep == want
+            assert len(sweep) == 1 + 5 * len(taus) * (2 if estimate == "all" else 1)
 
 
 class TestFit:
