@@ -4,9 +4,10 @@ A study couples the grid to the step through ``N(tau) = 2/sqrt(tau)``
 rounded to the nearest even integer, so the filter parameter
 ``theta = max(tau, 4/N^2)`` tracks tau.  Each (s, seed) pair gets one
 high-resolution datum and one cached reference solution; every coarse run
-projects that datum with its own filter, restricts it to the coarse
-lattice (lossless, because the filter width never exceeds the lattice),
-evolves, and records the L2 distance to the reference at the final time.
+restricts that datum to the coarse lattice, projects it with its own filter
+(lossless, because the filter width never exceeds the lattice), evolves,
+and records the L2 distance to the reference at the final time.  The runs
+of one (s, tau) evolve together, as one stack of their seeds.
 
 Error comparison embeds the coarse field into the reference lattice by
 zero padding, so the distance is the plain L2 norm of the coefficient
@@ -32,10 +33,9 @@ import numpy as np
 
 from . import snapshot
 from .roughdata import RoughDataSpec, generate
-from .spectral import SpectralField, embed, l2_norm, project, restrict
+from .spectral import SpectralField, project, restrict
 from .splitting import (
     SCHEME_VERSION,
-    BlowupError,
     SchemeParams,
     default_theta,
     evolve,
@@ -80,11 +80,12 @@ def grid_for_tau(tau: float) -> int:
 
 
 def parse_dyadic(text: str) -> float:
-    """Parse a float, accepting dyadic powers written ``2^p`` or ``2**p``."""
+    """Parse a float, accepting signed dyadic powers written ``2^p`` or ``2**p``."""
     text = text.strip()
+    sign, body = (-1.0, text[1:]) if text.startswith("-") else (1.0, text.removeprefix("+"))
     for sep in ("^", "**"):
-        if text.startswith("2" + sep):
-            return math.ldexp(1.0, int(text[1 + len(sep):]))
+        if body.startswith("2" + sep):
+            return sign * math.ldexp(1.0, int(body[1 + len(sep):]))
     return float(text)
 
 
@@ -289,22 +290,29 @@ def compute_reference(
 
 
 def l2_error(coarse: SpectralField, reference: SpectralField) -> float:
-    """L2 distance after zero-pad embedding into the reference lattice."""
-    if coarse.n_modes > reference.n_modes:
-        raise ValueError(
-            f"coarse lattice {coarse.n_modes} exceeds reference lattice {reference.n_modes}"
-        )
-    wide = coarse if coarse.n_modes == reference.n_modes else embed(coarse, reference.n_modes)
-    return l2_norm(SpectralField(reference.n_modes, wide.coeffs - reference.coeffs))
+    """L2 distance of the coarse field, zero-padded onto the reference lattice.
+
+    The difference is ``-reference`` with the coarse block added on its
+    central modes; outside the block that differs from ``0 - reference``
+    only in the sign of zeros, which the norm ignores.
+    """
+    n, m = coarse.n_modes, reference.n_modes
+    if n > m:
+        raise ValueError(f"coarse lattice {n} exceeds reference lattice {m}")
+    diff = np.negative(reference.coeffs)
+    lo = (m - n) // 2
+    diff[lo : lo + n, lo : lo + n] += coarse.coeffs
+    return 2.0 * np.pi * float(np.sqrt(np.vdot(diff, diff).real))
 
 
 def coarse_datum(datum: SpectralField, theta: float, n_modes: int) -> SpectralField:
-    """Filter the shared datum at a run's theta and restrict to its lattice.
+    """Restrict the shared datum to a run's lattice and filter it at the run's theta.
 
     The filter width ``theta**-0.5`` never exceeds ``n_modes/2`` under the
-    study coupling, so the restriction drops only zeros.
+    study coupling, so this equals filtering first: the restriction drops
+    only modes the filter zeroes.
     """
-    return restrict(project(datum, theta), n_modes)
+    return project(restrict(datum, n_modes), theta)
 
 
 # ---------------------------------------------------------------------------
@@ -335,25 +343,6 @@ class _RecordAppender:
 def _record_row(rec: ConvergenceRecord) -> list[str]:
     return [repr(rec.s), repr(rec.tau), str(rec.n_modes), repr(rec.theta),
             str(rec.seed), repr(rec.l2_error), repr(rec.wall_time)]
-
-
-def _run_one(
-    cfg: StudyConfig, s: float, seed: int, tau: float,
-    datum: SpectralField, reference: SpectralField,
-) -> ConvergenceRecord:
-    n = grid_for_tau(tau)
-    theta = default_theta(tau, n)
-    u0 = coarse_datum(datum, theta, n)
-    params = SchemeParams(tau=tau, n_modes=n, mu=cfg.mu, t_final=cfg.t_final)
-    start = time.perf_counter()
-    try:
-        final = evolve(u0, params)
-        err = l2_error(final, reference)
-    except BlowupError as exc:
-        logger.warning("run (s=%g, tau=%g, seed=%d) blew up: %s", s, tau, seed, exc)
-        err = math.nan
-    wall = time.perf_counter() - start
-    return ConvergenceRecord(s, tau, n, theta, seed, err, wall)
 
 
 def _drop_torn_row(path: Path) -> None:
@@ -403,12 +392,9 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     _claim_output_dir(cfg, bool(existing))
     done = {rec.key for rec in existing}
 
-    pairs = [(s, seed) for s in cfg.s_values for seed in cfg.seeds]
-    todo = {
-        (s, seed): [tau for tau in cfg.tau_list if (s, tau, seed) not in done]
-        for s, seed in pairs
-    }
-    needed_pairs = [p for p in pairs if todo[p]]
+    rows = {(s, tau): [seed for seed in cfg.seeds if (s, tau, seed) not in done]
+            for s in cfg.s_values for tau in cfg.tau_list}
+    needed_pairs = sorted({(s, seed) for (s, _), seeds in rows.items() for seed in seeds})
 
     records = list(existing)
     appender = _RecordAppender(records_path)
@@ -432,17 +418,31 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
             }
             refs = {key: fut.result()[0] for key, fut in ref_futures.items()}
 
-            def job(s: float, seed: int, tau: float) -> ConvergenceRecord:
-                rec = _run_one(cfg, s, seed, tau, data[(s, seed)], refs[(s, seed)])
-                appender.append(rec)
-                return rec
+            def job(s: float, tau: float, seeds: list[int]) -> list[ConvergenceRecord]:
+                """Evolve the seeds at one (s, tau) as one stack; each row's
+                wall time is its share of the stack's."""
+                n = grid_for_tau(tau)
+                theta = default_theta(tau, n)
+                u0 = np.stack([coarse_datum(data[(s, x)], theta, n).coeffs for x in seeds])
+                start = time.perf_counter()
+                finals, blowup = evolve(u0, SchemeParams(tau, n, cfg.mu, cfg.t_final))
+                errors = []
+                for seed, final, step in zip(seeds, finals, blowup):
+                    if step >= 0:
+                        logger.warning("run (s=%g, tau=%g, seed=%d) blew up: non-finite "
+                                       "solver state at step %d", s, tau, seed, step)
+                    errors.append(math.nan if step >= 0
+                                  else l2_error(SpectralField(n, final), refs[(s, seed)]))
+                wall = (time.perf_counter() - start) / len(seeds)
+                recs = [ConvergenceRecord(s, tau, n, theta, seed, err, wall)
+                        for seed, err in zip(seeds, errors)]
+                for rec in recs:
+                    appender.append(rec)
+                return recs
 
-            futures = [
-                pool.submit(job, s, seed, tau)
-                for (s, seed) in needed_pairs
-                for tau in todo[(s, seed)]
-            ]
-            records.extend(fut.result() for fut in futures)
+            futures = [pool.submit(job, s, tau, seeds)
+                       for (s, tau), seeds in rows.items() if seeds]
+            records.extend(rec for fut in futures for rec in fut.result())
     finally:
         appender.close()
 

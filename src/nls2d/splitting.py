@@ -6,7 +6,8 @@ interpolation back to coefficients, the square frequency filter, and the
 exact free flow over one step.  The interpolation deliberately folds grid
 products back onto the mode lattice; no dealiasing is applied anywhere, and
 the filter width is controlled by ``theta`` alone.  :func:`evolve` filters
-the datum once and runs the steps as one loop over a coefficient array.
+the datum once and runs the steps as one loop over a coefficient array,
+which may hold a stack of data.
 Its free-flow phase is :func:`nls2d.spectral.free_phase`, shared with ``bourgain``.
 
 The state after every step is invariant under the filter, and the discrete
@@ -24,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import snapshot
-from .spectral import SpectralField, free_phase, project
+from .spectral import SpectralField, free_phase, project_array
 
 __all__ = [
     "SCHEME_VERSION",
@@ -118,11 +119,11 @@ def free_flow(f: SpectralField, t: float) -> SpectralField:
 
 
 def evolve(
-    u0: SpectralField,
+    u0: SpectralField | np.ndarray,
     params: SchemeParams,
     observer: Observer | None = None,
     observer_every: int = 1,
-) -> SpectralField:
+):
     """Run the scheme from t = 0 to t = t_final.
 
     The initial field is passed through the filter before stepping, so the
@@ -130,50 +131,73 @@ def evolve(
     called with ``(step_index, field)`` at step 0, every ``observer_every``
     steps, and at the final step.
 
-    The state is a single coefficient array in unshifted FFT order.  One
-    step samples it on the grid, multiplies every sample by its phase
+    ``u0`` may also be a (..., N, N) coefficient stack in natural order,
+    whose slices step together, each bit for bit as alone; the observer
+    then sees the stack, and the call returns the final stack and each
+    slice's blow-up step (-1 for none).  A slice that blows up is zeroed.
+
+    The state is one coefficient array in unshifted FFT order.  One step
+    samples it on the grid, multiplies every sample by its phase
     ``exp(i*mu*tau*|v|^2)``, transforms back, and multiplies by the filtered
     free-flow phase ``exp(-i*tau*|k|^2)``, which applies the filter and the
     free flow at once.  The ``norm="forward"`` transforms carry the
-    ``1/N**2`` of :func:`~nls2d.spectral.dft_forward`.  Both products are
-    taken in place, so the operand order of each complex multiply, and with
-    it every output bit, is fixed.
+    ``1/N**2`` of :func:`~nls2d.spectral.dft_forward`; they run in place,
+    axis by axis in the order of ``ifft2``/``fft2``.  Both products are
+    taken in place too, so the operand order of each complex multiply, and
+    with it every output bit, is fixed.
 
     Raises
     ------
     BlowupError
-        If the state becomes non-finite; the offending step is named.
+        If a field's state becomes non-finite; the offending step is named.
     ValueError
         On inconsistent arguments (lattice mismatch, bad observer stride).
     """
     if observer_every < 1:
         raise ValueError(f"observer_every must be >= 1, got {observer_every}")
     n = params.n_modes
-    if u0.n_modes != n:
-        raise ValueError(f"field lattice {u0.n_modes} does not match params.n_modes {n}")
+    single = isinstance(u0, SpectralField)
+    coeffs = u0.coeffs[None] if single else np.asarray(u0, dtype=np.complex128)
+    if coeffs.shape[-2:] != (n, n):
+        raise ValueError(f"field lattice {coeffs.shape[-1]} does not match params.n_modes {n}")
     theta = params.theta
-    c = np.fft.ifftshift(project(u0, theta).coeffs)
-    prop = np.fft.ifftshift(project(SpectralField(n, free_phase(n, params.tau)), theta).coeffs)
-    angle = np.empty((n, n))
-    phase = np.empty((n, n), dtype=np.complex128)
+    c = np.fft.ifftshift(project_array(coeffs, theta), axes=(-2, -1))
+    prop = np.fft.ifftshift(project_array(free_phase(n, params.tau), theta))
+    angle = np.empty(c.shape)
+    phase = np.empty_like(c)
+    blowup = np.full(c.shape[:-2], -1)
     n_steps = params.n_steps
+
+    def state():
+        out = np.fft.fftshift(c, axes=(-2, -1))
+        return SpectralField(n, out[0]) if single else out
+
     if observer is not None:
-        observer(0, SpectralField(n, np.fft.fftshift(c)))
+        observer(0, state())
     for step in range(1, n_steps + 1):
-        v = np.fft.ifft2(c, norm="forward")
-        np.multiply(v.real, v.real, out=angle)
-        angle += v.imag**2
+        np.fft.ifft(c, axis=-1, norm="forward", out=c)
+        np.fft.ifft(c, axis=-2, norm="forward", out=c)
+        np.multiply(c.real, c.real, out=angle)
+        np.multiply(c.imag, c.imag, out=phase.real)
+        angle += phase.real
         angle *= params.mu * params.tau
         np.cos(angle, out=phase.real)
         np.sin(angle, out=phase.imag)
-        v *= phase
-        c = np.fft.fft2(v, norm="forward")
+        c *= phase
+        np.fft.fft(c, axis=-1, norm="forward", out=c)
+        np.fft.fft(c, axis=-2, norm="forward", out=c)
         c *= prop
-        if not np.isfinite(c).all():
-            raise BlowupError(step - 1)
+        bad = ~np.isfinite(c).all(axis=(-2, -1))
+        if bad.any():  # a zeroed slice stays finite, so every bad one is new
+            blowup[bad] = step - 1
+            c[bad] = 0.0
+            if (blowup >= 0).all():
+                break
         if observer is not None and (step % observer_every == 0 or step == n_steps):
-            observer(step, SpectralField(n, np.fft.fftshift(c)))
-    return SpectralField(n, np.fft.fftshift(c))
+            observer(step, state())
+    if single and blowup[0] >= 0:
+        raise BlowupError(int(blowup[0]))
+    return state() if single else (state(), blowup)
 
 
 def snapshot_observer(directory: str | Path, run_id: str) -> Observer:

@@ -1,14 +1,17 @@
 """Independent slow-path oracles used across the test suite.
 
 Everything here except :func:`composed_lie_step`,
-:func:`twisted_bourgain_norm` and the ``snapshot_*`` functions is written
-against the documented definitions with direct summation only: no FFT, no
-shared code paths with the package internals beyond the field containers.
+:func:`embedded_l2_error`, :func:`twisted_bourgain_norm` and the
+``snapshot_*`` functions is written against the documented definitions
+with direct summation only: no FFT, no shared code paths with the package
+internals beyond the field containers.
 
 Those are built from the package's single-field functions instead
 (``snapshot_ensemble`` also reuses the private ``bourgain._envelope``).
 :func:`composed_lie_step` composes the filtered Lie step stage by stage, as
 the scheme is written down, to check the fused loop in ``evolve``;
+:func:`embedded_l2_error` is the study's error measure through ``embed``,
+to check ``harness.l2_error``;
 :func:`twisted_bourgain_norm` is an equivalent form of ``bourgain_norm``
 used to cross-check it.  The ``snapshot_*`` functions evaluate the
 trajectory functionals one ``SpectralField`` at a time, straight from the
@@ -22,7 +25,9 @@ import numpy as np
 
 from nls2d.bourgain import ProbeRow, Trajectory, _envelope, bourgain_norm, time_space_transform
 from nls2d.roughdata import RoughDataSpec, generate
-from nls2d.spectral import SpectralField, dft_forward, project, sobolev_norm, synthesize
+from nls2d.spectral import (
+    SpectralField, dft_forward, embed, l2_norm, project, sobolev_norm, synthesize,
+)
 from nls2d.splitting import SchemeParams, free_flow
 
 
@@ -84,6 +89,12 @@ def composed_lie_step(f: SpectralField, params: SchemeParams) -> SpectralField:
     """One filtered Lie step: filter, grid nonlinearity, interpolate, filter, free flow."""
     w = nonlinear_phase(synthesize(project(f, params.theta)), params.tau, params.mu)
     return free_flow(project(dft_forward(w), params.theta), params.tau)
+
+
+def embedded_l2_error(coarse: SpectralField, reference: SpectralField) -> float:
+    """L2 distance of the coarse field zero-padded by ``embed`` onto the reference lattice."""
+    wide = embed(coarse, reference.n_modes)
+    return l2_norm(SpectralField(reference.n_modes, wide.coeffs - reference.coeffs))
 
 
 def brute_force_bourgain_norm(tr, s: float, b: float) -> float:

@@ -118,14 +118,16 @@ class TestReference:
         for seed in ("1", "2"):
             assert main(["reference", "--s", "2.0", "--seed", seed, "--K", "32",
                          "--tau-ref", "2^-10", "--T", "0.25", "--cache", str(cache)]) == EXIT_OK
-        lattices = []
+        stacks = []
         real = harness.evolve
-        monkeypatch.setattr(harness, "evolve",
-                            lambda u0, p, **k: lattices.append(p.n_modes) or real(u0, p, **k))
+        monkeypatch.setattr(
+            harness, "evolve",
+            lambda u0, p, **k: stacks.append((p.n_modes, len(u0))) or real(u0, p, **k))
         cfg = tmp_path / "study.cfg"
         cfg.write_text(TestConverge.CONFIG.format(out=tmp_path / "out", cache=cache))
         assert main(["converge", "--config", str(cfg)]) == EXIT_OK
-        assert len(lattices) == 6 and 32 not in lattices
+        # one stack of both seeds per tau, and no reference solve on K = 32
+        assert sorted(stacks) == [(8, 2), (12, 2), (16, 2)]
 
 
 class TestConverge:
@@ -229,7 +231,8 @@ class TestDiagnose:
         assert code == EXIT_INVALID
 
     @pytest.mark.parametrize("second, named",
-                             [("2^-4", "0.0625"), ("0", "0.0"), ("-0.125", "-0.125")])
+                             [("2^-4", "0.0625"), ("0", "0.0"), ("-0.125", "-0.125"),
+                              ("-2^-3", "-0.125")])
     def test_bad_tau_list_exits_2_before_any_draw(self, tmp_path, capsys, monkeypatch,
                                                   second, named):
         def no_draw(*args, **kwargs):

@@ -33,10 +33,10 @@ from nls2d.harness import (
     sensitivity_configs,
 )
 from nls2d.roughdata import RoughDataSpec, generate
-from nls2d.spectral import SpectralField, embed, synthesize
+from nls2d.spectral import SpectralField, embed, project, restrict, synthesize
 from nls2d.splitting import SchemeParams, default_theta, evolve
 
-from oracles import plane_wave, plane_wave_solution, quadrature_l2
+from oracles import embedded_l2_error, plane_wave, plane_wave_solution, quadrature_l2
 
 RNG = np.random.default_rng(31)
 
@@ -60,6 +60,8 @@ class TestCoupling:
         assert parse_dyadic("2**-12") == 2.0**-12
         assert parse_dyadic(" 2^3 ") == 8.0
         assert parse_dyadic("0.25") == 0.25
+        assert parse_dyadic("-2^-3") == -0.125
+        assert parse_dyadic(" -2**2") == -4.0
 
     def test_filter_matches_lattice_identity_in_sweep(self):
         """Under the coupling, theta = max(tau, 4/N^2) keeps the cutoff
@@ -145,6 +147,14 @@ class TestErrorMeasure:
         want = quadrature_l2(synthesize(diff, 32))
         assert abs(l2_error(coarse, reference) - want) <= 1e-10 * want
 
+    @pytest.mark.parametrize("n, m", [(8, 8), (8, 16), (6, 32)])
+    def test_matches_embedding_oracle(self, n, m):
+        """Bit for bit the norm of the zero-padded difference, equal lattices included."""
+        coarse = SpectralField(n, RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n)))
+        reference = SpectralField(
+            m, RNG.standard_normal((m, m)) + 1j * RNG.standard_normal((m, m)))
+        assert l2_error(coarse, reference) == embedded_l2_error(coarse, reference)
+
     def test_wrong_direction_rejected(self):
         with pytest.raises(ValueError, match="exceeds reference"):
             l2_error(plane_wave(16, 1.0, (0, 0)), plane_wave(8, 1.0, (0, 0)))
@@ -161,6 +171,15 @@ class TestErrorMeasure:
                 inside = -2 <= k1 < 2 and -2 <= k2 < 2
                 want = datum.coeffs[8 + k1, 8 + k2] if inside else 0.0
                 assert got.coeffs[i, j] == want
+
+    def test_coarse_datum_restricts_then_filters(self):
+        """Slicing first gives the filtered-then-restricted datum of every study grid."""
+        datum = generate(RoughDataSpec(s=1.0, seed=4, n_modes=64))
+        for tau in (2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8):
+            n = grid_for_tau(tau)
+            theta = default_theta(tau, n)
+            want = restrict(project(datum, theta), n)
+            assert np.array_equal(coarse_datum(datum, theta, n).coeffs, want.coeffs)
 
 
 class TestReference:
@@ -311,11 +330,12 @@ class TestRunStudy:
         cfg, records = mini_study
         gap = (2.0, 2.0**-5, 2)
         export([r for r in records if r.key != gap], cfg.output_dir)
-        calls = []
+        stacks = []
         real = harness.evolve
-        monkeypatch.setattr(harness, "evolve", lambda *a, **k: calls.append(1) or real(*a, **k))
+        monkeypatch.setattr(harness, "evolve",
+                            lambda u0, p, **k: stacks.append(len(u0)) or real(u0, p, **k))
         resumed = run_study(cfg)
-        assert len(calls) == 1  # one coarse run; the reference came from cache
+        assert stacks == [1]  # one coarse run; the reference came from cache
         assert sorted(r.key for r in resumed) == sorted(r.key for r in records)
         redone = next(r for r in resumed if r.key == gap)
         original = next(r for r in records if r.key == gap)
@@ -328,11 +348,12 @@ class TestRunStudy:
         text = path.read_bytes()
         last_row = text.rstrip(b"\r\n").rfind(b"\n") + 1
         path.write_bytes(text[: last_row + 10])
-        calls = []
+        stacks = []
         real = harness.evolve
-        monkeypatch.setattr(harness, "evolve", lambda *a, **k: calls.append(1) or real(*a, **k))
+        monkeypatch.setattr(harness, "evolve",
+                            lambda u0, p, **k: stacks.append(len(u0)) or real(u0, p, **k))
         resumed = run_study(cfg)
-        assert len(calls) == 1  # the torn row; the reference came from cache
+        assert stacks == [1]  # the torn row; the reference came from cache
         assert [r.key for r in resumed] == [r.key for r in records]
         assert [r.l2_error for r in resumed] == [r.l2_error for r in records]
 
@@ -344,14 +365,45 @@ class TestRunStudy:
         copy = replace(cfg, output_dir=out)  # the copied cache holds the references
         with pytest.raises(ValueError, match=r"differing: T\)"):
             run_study(replace(copy, t_final=0.5))
-        calls = []
+        stacks = []
         real = harness.evolve
-        monkeypatch.setattr(harness, "evolve", lambda *a, **k: calls.append(1) or real(*a, **k))
+        monkeypatch.setattr(harness, "evolve",
+                            lambda u0, p, **k: stacks.append(len(u0)) or real(u0, p, **k))
         resumed = run_study(replace(copy, tau_list=copy.tau_list + (2.0**-3,)))
-        assert len(calls) == 2 and len(resumed) == len(records) + 2
+        assert stacks == [2] and len(resumed) == len(records) + 2  # both seeds, one stack
         (out / "study.json").unlink()
         with pytest.raises(ValueError, match="no study.json"):
             run_study(copy)
+
+    def test_stacked_rows_match_per_seed_runs(self, tmp_path):
+        """Each record of a 3-seed study is that of its own run, measured by embedding."""
+        cfg = StudyConfig(s_values=(1.0,), tau_list=(2.0**-4, 2.0**-5, 2.0**-6), t_final=0.25,
+                          grid_reference=64, tau_reference=2.0**-10, seeds=(1, 2, 3),
+                          output_dir=tmp_path, workers=2)
+        records = run_study(cfg)
+        assert len(records) == 9
+        for rec in records:
+            datum = generate(cfg.datum_spec(rec.s, rec.seed))
+            ref, _ = compute_reference(datum, cfg.tau_reference, cfg.t_final, cfg.mu,
+                                       cfg.resolved_cache_dir)
+            u0 = restrict(project(datum, rec.theta), rec.n_modes)
+            final = evolve(u0, SchemeParams(rec.tau, rec.n_modes, cfg.mu, cfg.t_final))
+            assert rec.l2_error == embedded_l2_error(final, ref)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blown_up_seed_fails_alone(self, tmp_path, monkeypatch, caplog):
+        """A seed that blows up gets failed rows and a warning; its stack mates run on."""
+        cfg = StudyConfig(s_values=(1.0,), tau_list=(2.0**-4, 2.0**-5, 2.0**-6), t_final=0.25,
+                          grid_reference=32, tau_reference=2.0**-10, seeds=(1, 2),
+                          output_dir=tmp_path, mu=1, workers=1)
+        real = harness.generate
+        monkeypatch.setattr(harness, "generate", lambda spec: (
+            plane_wave(spec.n_modes, 1e200, (0, 0)) if spec.seed == 2 else real(spec)))
+        monkeypatch.setattr(harness, "compute_reference", lambda u0, *a: (u0, None))
+        with caplog.at_level(logging.WARNING, logger="nls2d.harness"):
+            records = run_study(cfg)
+        assert [r.failed for r in records] == [False, True] * 3
+        assert sum("seed=2) blew up" in r.message for r in caplog.records) == 3
 
     def test_study_json_golden(self, mini_study):
         """The recipe encoding is pinned: key order, ints, floats as float.hex."""

@@ -312,6 +312,29 @@ class TestEvolve:
                 evolve(u0, p)
         assert info.value.step == 0
 
+    @pytest.mark.parametrize("n, tau", [(16, 2.0**-6), (22, 2.0**-7), (46, 2.0**-9)])
+    def test_stack_matches_solo_runs(self, n, tau):
+        """Each slice of a stack ends bit for bit where its solo run ends."""
+        data = [generate(RoughDataSpec(s=1.0, seed=seed, n_modes=n, target_l2=10.0))
+                for seed in (1, 2, 3)]
+        p = SchemeParams(tau=tau, n_modes=n, mu=-1, t_final=32 * tau)
+        finals, blowup = evolve(np.stack([f.coeffs for f in data]), p)
+        assert blowup.tolist() == [-1, -1, -1]
+        for f, got in zip(data, finals):
+            assert np.array_equal(got, evolve(f, p).coeffs)
+
+    def test_stack_blowup_is_per_slice(self):
+        """A slice that blows up is named and zeroed; the others run on as alone."""
+        n = 8
+        calm = random_field(n)
+        p = SchemeParams(tau=2.0**-4, n_modes=n, mu=1, t_final=1.0)
+        stack = np.stack([plane_wave(n, 1e200, (0, 0)).coeffs, calm.coeffs])
+        with np.errstate(over="ignore", invalid="ignore"):
+            finals, blowup = evolve(stack, p)
+        assert blowup.tolist() == [0, -1]
+        assert not finals[0].any()
+        assert np.array_equal(finals[1], evolve(calm, p).coeffs)
+
     def test_concurrent_cold_start_bits(self):
         """Concurrent first runs in a fresh process match serial runs bit for bit."""
         env = dict(os.environ)
