@@ -79,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=Path, required=True, help="key = value config file")
     p.add_argument("--out", type=Path, default=None, help="override output_dir")
     p.add_argument("--reference-sensitivity", default=None, metavar="K:TAU[,K:TAU...]",
-                   help="redo the sweep against alternative references")
+                   help="redo the sweep against alternative references; each alternate "
+                        "draws its datum at its own K, so it judges a different datum")
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("diagnose", help="estimate probes over trajectory ensembles")

@@ -7,7 +7,12 @@ high-resolution datum and one cached reference solution; every coarse run
 restricts that datum to the coarse lattice, projects it with its own filter
 (lossless, because the filter width never exceeds the lattice), evolves,
 and records the L2 distance to the reference at the final time.  The runs
-of one (s, tau) evolve together, as one stack of their seeds.
+of one (s, tau) evolve together, as one stack of their seeds.  Each
+finished stack replaces ``records.csv`` whole (sorted, through
+:func:`nls2d.snapshot.staged`), so an interrupted study keeps every
+finished stack and resumes from it; an unterminated last row left by an
+older, appending version is dropped on resume, and a resume refused for a
+different recipe writes nothing.
 
 Error comparison embeds the coarse field into the reference lattice by
 zero padding, so the distance is the plain L2 norm of the coefficient
@@ -319,37 +324,18 @@ def coarse_datum(datum: SpectralField, theta: float, n_modes: int) -> SpectralFi
 # sweep execution
 
 
-class _RecordAppender:
-    """Serialized, flush-per-row CSV appender (crash-safe resume point)."""
-
-    def __init__(self, path: Path):
-        self._lock = threading.Lock()
-        fresh = not path.exists() or path.stat().st_size == 0
-        self._fh = open(path, "a", newline="")
-        self._writer = csv.writer(self._fh)
-        if fresh:
-            self._writer.writerow(RECORD_COLUMNS)
-            self._fh.flush()
-
-    def append(self, rec: ConvergenceRecord) -> None:
-        with self._lock:
-            self._writer.writerow(_record_row(rec))
-            self._fh.flush()
-
-    def close(self) -> None:
-        self._fh.close()
-
-
 def _record_row(rec: ConvergenceRecord) -> list[str]:
     return [repr(rec.s), repr(rec.tau), str(rec.n_modes), repr(rec.theta),
             str(rec.seed), repr(rec.l2_error), repr(rec.wall_time)]
 
 
-def _drop_torn_row(path: Path) -> None:
-    """Truncate the file after its last newline, dropping a half-written row."""
-    with open(path, "rb+") as fh:
-        data = fh.read()
-        fh.truncate(data.rfind(b"\n") + 1)
+def _write_records(records: Iterable[ConvergenceRecord], path: Path) -> None:
+    """Replace ``path`` with the whole table of ``records``, sorted by key."""
+    with snapshot.staged(path) as tmp, open(tmp, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RECORD_COLUMNS)
+        for rec in sorted(records, key=lambda r: r.key):
+            writer.writerow(_record_row(rec))
 
 
 def _claim_output_dir(cfg: StudyConfig, resuming: bool) -> None:
@@ -375,20 +361,24 @@ def _claim_output_dir(cfg: StudyConfig, resuming: bool) -> None:
 def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     """Execute (or resume) the sweep; returns all records, sorted.
 
-    Rows are appended to ``records.csv`` as they complete, keyed by
-    (s, tau, seed); rerunning with the same recipe skips completed rows,
-    including failed ones.  A row torn by an interrupted write is dropped
-    and recomputed.  Rows resume only under the recipe in ``study.json``
-    (adding an s, a tau or a seed still resumes); a different one raises
-    ValueError.  On completion the file is rewritten in sorted order and
-    the plot data files are refreshed.
+    Each (s, tau) stack, once finished, replaces ``records.csv`` with the
+    whole sorted table of the rows so far, keyed by (s, tau, seed), so an
+    interrupted sweep keeps every finished stack and the file is never
+    torn.  Rerunning with the same recipe skips completed rows, including
+    failed ones; an unterminated last row (left by an older, appending
+    version) is dropped and recomputed.  Rows resume only under the
+    recipe in ``study.json`` (adding an s, a tau or a seed still resumes);
+    a different one raises ValueError before anything is written.  On
+    completion the plot data files are refreshed.
     """
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     records_path = cfg.output_dir / "records.csv"
     existing = []
     if records_path.exists():
-        _drop_torn_row(records_path)
-        existing = read_records(records_path)
+        # Drop an unterminated (torn) last row in memory only, so that a
+        # refused resume leaves the file as it found it.
+        text = records_path.read_text()
+        existing = _parse_records(text[: text.rfind("\n") + 1].splitlines(), records_path)
     _claim_output_dir(cfg, bool(existing))
     done = {rec.key for rec in existing}
 
@@ -397,54 +387,51 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     needed_pairs = sorted({(s, seed) for (s, _), seeds in rows.items() for seed in seeds})
 
     records = list(existing)
-    appender = _RecordAppender(records_path)
-    try:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            datum_futures = {
-                (s, seed): pool.submit(generate, cfg.datum_spec(s, seed))
-                for s, seed in needed_pairs
-            }
-            data = {key: fut.result() for key, fut in datum_futures.items()}
-            ref_futures = {
-                (s, seed): pool.submit(
-                    compute_reference,
-                    data[(s, seed)],
-                    cfg.tau_reference,
-                    cfg.t_final,
-                    cfg.mu,
-                    cfg.resolved_cache_dir,
-                )
-                for s, seed in needed_pairs
-            }
-            refs = {key: fut.result()[0] for key, fut in ref_futures.items()}
+    lock = threading.Lock()
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        datum_futures = {
+            (s, seed): pool.submit(generate, cfg.datum_spec(s, seed))
+            for s, seed in needed_pairs
+        }
+        data = {key: fut.result() for key, fut in datum_futures.items()}
+        ref_futures = {
+            (s, seed): pool.submit(
+                compute_reference,
+                data[(s, seed)],
+                cfg.tau_reference,
+                cfg.t_final,
+                cfg.mu,
+                cfg.resolved_cache_dir,
+            )
+            for s, seed in needed_pairs
+        }
+        refs = {key: fut.result()[0] for key, fut in ref_futures.items()}
 
-            def job(s: float, tau: float, seeds: list[int]) -> list[ConvergenceRecord]:
-                """Evolve the seeds at one (s, tau) as one stack; each row's
-                wall time is its share of the stack's."""
-                n = grid_for_tau(tau)
-                theta = default_theta(tau, n)
-                u0 = np.stack([coarse_datum(data[(s, x)], theta, n).coeffs for x in seeds])
-                start = time.perf_counter()
-                finals, blowup = evolve(u0, SchemeParams(tau, n, cfg.mu, cfg.t_final))
-                errors = []
-                for seed, final, step in zip(seeds, finals, blowup):
-                    if step >= 0:
-                        logger.warning("run (s=%g, tau=%g, seed=%d) blew up: non-finite "
-                                       "solver state at step %d", s, tau, seed, step)
-                    errors.append(math.nan if step >= 0
-                                  else l2_error(SpectralField(n, final), refs[(s, seed)]))
-                wall = (time.perf_counter() - start) / len(seeds)
-                recs = [ConvergenceRecord(s, tau, n, theta, seed, err, wall)
-                        for seed, err in zip(seeds, errors)]
-                for rec in recs:
-                    appender.append(rec)
-                return recs
+        def job(s: float, tau: float, seeds: list[int]) -> None:
+            """Evolve the seeds at one (s, tau) as one stack and record their
+            rows; each row's wall time is its share of the stack's."""
+            n = grid_for_tau(tau)
+            theta = default_theta(tau, n)
+            u0 = np.stack([coarse_datum(data[(s, x)], theta, n).coeffs for x in seeds])
+            start = time.perf_counter()
+            finals, blowup = evolve(u0, SchemeParams(tau, n, cfg.mu, cfg.t_final))
+            errors = []
+            for seed, final, step in zip(seeds, finals, blowup):
+                if step >= 0:
+                    logger.warning("run (s=%g, tau=%g, seed=%d) blew up: non-finite "
+                                   "solver state at step %d", s, tau, seed, step)
+                errors.append(math.nan if step >= 0
+                              else l2_error(SpectralField(n, final), refs[(s, seed)]))
+            wall = (time.perf_counter() - start) / len(seeds)
+            with lock:
+                records.extend(ConvergenceRecord(s, tau, n, theta, seed, err, wall)
+                               for seed, err in zip(seeds, errors))
+                _write_records(records, records_path)
 
-            futures = [pool.submit(job, s, tau, seeds)
-                       for (s, tau), seeds in rows.items() if seeds]
-            records.extend(rec for fut in futures for rec in fut.result())
-    finally:
-        appender.close()
+        # Leaving the pool waits for every job, so stacks that finish after
+        # another one raised still write their rows before the error surfaces.
+        for fut in [pool.submit(job, s, tau, seeds) for (s, tau), seeds in rows.items() if seeds]:
+            fut.result()
 
     records.sort(key=lambda r: r.key)
     export(records, cfg.output_dir)
@@ -459,8 +446,11 @@ def sensitivity_configs(
     Qualitative tool: running each with :func:`run_study` repeats the sweep
     against another reference resolution, and an under-resolved reference
     contaminates the small-theta end of the error curve and flattens the
-    fitted order.  Building the configs validates every alternative, so a
-    bad one is rejected before any sweep runs.
+    fitted order.  An alternate study draws its datum at its own K
+    (:meth:`StudyConfig.datum_spec`), so it judges a different datum, not
+    the same datum against another reference.  Building the configs
+    validates every alternative, so a bad one is rejected before any sweep
+    runs.
     """
     return {
         (k, tau): replace(cfg, grid_reference=k, tau_reference=tau,
@@ -528,16 +518,11 @@ def export(records: Sequence[ConvergenceRecord], out_dir: str | Path) -> list[Pa
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ordered = sorted(records, key=lambda r: r.key)
     paths = [out_dir / "records.csv"]
-    with snapshot.staged(paths[0]) as tmp, open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
-        for rec in ordered:
-            writer.writerow(_record_row(rec))
-    for s in sorted({r.s for r in ordered}):
+    _write_records(records, paths[0])
+    for s in sorted({r.s for r in records}):
         path = out_dir / f"plot_s{s:g}.csv"
-        x, y = median_curve([r for r in ordered if r.s == s])
+        x, y = median_curve([r for r in records if r.s == s])
         with snapshot.staged(path) as tmp, open(tmp, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["log2_theta", "log2_median_error"])
@@ -549,22 +534,26 @@ def export(records: Sequence[ConvergenceRecord], out_dir: str | Path) -> list[Pa
 
 def read_records(path: str | Path) -> list[ConvergenceRecord]:
     """Parse a records CSV back into record objects."""
-    out: list[ConvergenceRecord] = []
     with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is not None and tuple(header) != RECORD_COLUMNS:
-            raise ValueError(f"{path}: unexpected header {header}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(RECORD_COLUMNS):
-                raise ValueError(f"{path}: malformed row {row}")
-            out.append(ConvergenceRecord(
-                s=float(row[0]), tau=float(row[1]), n_modes=int(row[2]),
-                theta=float(row[3]), seed=int(row[4]),
-                l2_error=float(row[5]), wall_time=float(row[6]),
-            ))
+        return _parse_records(fh, path)
+
+
+def _parse_records(lines: Iterable[str], path: str | Path) -> list[ConvergenceRecord]:
+    out: list[ConvergenceRecord] = []
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is not None and tuple(header) != RECORD_COLUMNS:
+        raise ValueError(f"{path}: unexpected header {header}")
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(RECORD_COLUMNS):
+            raise ValueError(f"{path}: malformed row {row}")
+        out.append(ConvergenceRecord(
+            s=float(row[0]), tau=float(row[1]), n_modes=int(row[2]),
+            theta=float(row[3]), seed=int(row[4]),
+            l2_error=float(row[5]), wall_time=float(row[6]),
+        ))
     return out
 
 

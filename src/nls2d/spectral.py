@@ -32,7 +32,6 @@ __all__ = [
     "free_phase",
     "dft_forward",
     "synthesize",
-    "synthesize_array",
     "project",
     "project_array",
     "window_mask",
@@ -145,18 +144,13 @@ def synthesize(f: SpectralField, n_points: int | None = None) -> np.ndarray:
     np.ndarray
         Complex (M, M) values ``u(x_{jl})`` on the grid.
     """
-    return synthesize_array(f.coeffs, n_points)
-
-
-def synthesize_array(coeffs: np.ndarray, n_points: int | None = None) -> np.ndarray:
-    """:func:`synthesize` over the last two axes of a (..., N, N) coefficient array."""
-    n = coeffs.shape[-1]
+    n = f.n_modes
     m = n if n_points is None else n_points
     if m < n:
         raise ValueError(f"target grid {m} is coarser than the mode lattice {n}")
     if m % 2 != 0:
         raise ValueError(f"target grid size must be even, got {m}")
-    return np.fft.fftshift(np.fft.ifft2(_fft_slots(coeffs, m)), (-2, -1)) * (m * m)
+    return np.fft.fftshift(np.fft.ifft2(_fft_slots(f.coeffs, m))) * (m * m)
 
 
 def _fft_slots(coeffs: np.ndarray, m: int) -> np.ndarray:
@@ -199,13 +193,6 @@ def window_mask(n: int, theta: float) -> np.ndarray:
     return (k >= -cutoff) & (k < cutoff)
 
 
-def _zero_pad(coeffs: np.ndarray, m: int) -> np.ndarray:
-    out = np.zeros((*coeffs.shape[:-2], m, m), dtype=np.complex128)
-    lo = (m - coeffs.shape[-1]) // 2
-    out[..., lo : m - lo, lo : m - lo] = coeffs
-    return out
-
-
 def embed(f: SpectralField, n_modes: int) -> SpectralField:
     """Zero-pad onto a larger mode lattice; the represented field is unchanged."""
     n, m = f.n_modes, n_modes
@@ -213,7 +200,10 @@ def embed(f: SpectralField, n_modes: int) -> SpectralField:
         raise ValueError(f"cannot embed lattice {n} into smaller lattice {m}")
     if m % 2 != 0:
         raise ValueError(f"target lattice size must be even, got {m}")
-    return SpectralField(m, _zero_pad(f.coeffs, m))
+    out = np.zeros((m, m), dtype=np.complex128)
+    lo = (m - n) // 2
+    out[lo : m - lo, lo : m - lo] = f.coeffs
+    return SpectralField(m, out)
 
 
 def restrict(f: SpectralField, n_modes: int) -> SpectralField:

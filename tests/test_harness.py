@@ -358,22 +358,59 @@ class TestRunStudy:
         assert [r.l2_error for r in resumed] == [r.l2_error for r in records]
 
     def test_resume_refuses_another_recipe(self, mini_study, tmp_path, monkeypatch):
-        """Rows resume only under the recipe recorded in study.json."""
+        """Rows resume only under the recipe recorded in study.json, and a
+        refused resume leaves records.csv as it was, torn last row and all."""
         cfg, records = mini_study
         out = tmp_path / "copy"
         shutil.copytree(cfg.output_dir, out)
         copy = replace(cfg, output_dir=out)  # the copied cache holds the references
+        path = out / "records.csv"
+
+        def tear() -> bytes:
+            torn = path.read_bytes()[:-5]
+            path.write_bytes(torn)
+            return torn
+
+        torn = tear()
         with pytest.raises(ValueError, match=r"differing: T\)"):
             run_study(replace(copy, t_final=0.5))
+        assert path.read_bytes() == torn
         stacks = []
         real = harness.evolve
         monkeypatch.setattr(harness, "evolve",
                             lambda u0, p, **k: stacks.append(len(u0)) or real(u0, p, **k))
         resumed = run_study(replace(copy, tau_list=copy.tau_list + (2.0**-3,)))
-        assert stacks == [2] and len(resumed) == len(records) + 2  # both seeds, one stack
+        # the torn row alone, and both seeds of the new tau as one stack
+        assert sorted(stacks) == [1, 2] and len(resumed) == len(records) + 2
+        torn = tear()
         (out / "study.json").unlink()
         with pytest.raises(ValueError, match="no study.json"):
             run_study(copy)
+        assert path.read_bytes() == torn
+
+    def test_interrupted_sweep_keeps_finished_rows(self, tmp_path, monkeypatch):
+        """A stack that raises loses only its own rows; the rerun redoes it alone."""
+        cfg = StudyConfig(s_values=(1.0,), tau_list=(2.0**-4, 2.0**-5, 2.0**-6), t_final=0.25,
+                          grid_reference=64, tau_reference=2.0**-10, seeds=(1, 2),
+                          output_dir=tmp_path, workers=1)
+        real = harness.evolve
+
+        def fails_at_12(u0, p, **k):
+            if p.n_modes == 12:
+                raise OSError("killed")
+            return real(u0, p, **k)
+
+        monkeypatch.setattr(harness, "evolve", fails_at_12)
+        with pytest.raises(OSError, match="killed"):
+            run_study(cfg)
+        kept = read_records(tmp_path / "records.csv")
+        assert sorted(r.key for r in kept) == [
+            (1.0, tau, seed) for tau in (2.0**-6, 2.0**-4) for seed in (1, 2)]
+        stacks = []
+        monkeypatch.setattr(harness, "evolve",
+                            lambda u0, p, **k: stacks.append(p.n_modes) or real(u0, p, **k))
+        assert len(run_study(cfg)) == 6
+        assert stacks == [12]
 
     def test_stacked_rows_match_per_seed_runs(self, tmp_path):
         """Each record of a 3-seed study is that of its own run, measured by embedding."""

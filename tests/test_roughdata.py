@@ -2,14 +2,13 @@
 
 import json
 import logging
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nls2d.roughdata as roughdata
-from nls2d.roughdata import RoughDataSpec, generate, generate_stack, rng_stream, uniform_block
+from nls2d.roughdata import RoughDataSpec, generate, generate_stack, uniform_block
 from nls2d.spectral import l2_norm, mode_values
 
 from oracles import splitmix64_reference
@@ -22,13 +21,12 @@ class TestStream:
         """First draws match the values frozen in the golden file."""
         for seed_text, hexes in GOLDEN.items():
             want = [float.fromhex(h) for h in hexes]
-            got = list(islice(rng_stream(int(seed_text)), len(want)))
-            assert got == want
+            assert uniform_block(int(seed_text), len(want)).tolist() == want
 
     def test_block_matches_stream(self):
-        """Vectorized block equals the reference generator draw for draw."""
+        """Vectorized block equals the pure-integer reference draw for draw."""
         for seed in (0, 1, 42, 2**63 + 17):
-            assert uniform_block(seed, 257).tolist() == list(islice(rng_stream(seed), 257))
+            assert uniform_block(seed, 257).tolist() == splitmix64_reference(seed, 257)
 
     def test_block_matches_independent_reference(self):
         assert uniform_block(9, 64).tolist() == splitmix64_reference(9, 64)
@@ -108,20 +106,19 @@ class TestGenerate:
     def test_zero_draw_retry(self, monkeypatch, caplog):
         """An all-zero draw bumps the seed once, with a warning."""
         spec = RoughDataSpec(s=1.0, seed=50, n_modes=8)
-        real_block = roughdata.uniform_block
+        real_uniform = roughdata._uniform
         calls = []
 
-        def fake_block(seed, count):
-            calls.append(seed)
-            if len(calls) == 1:
-                return np.zeros(count)
-            return real_block(seed, count)
+        def zero_first_draw(seeds, count):
+            calls.extend(seeds.tolist())
+            draws = real_uniform(seeds, count)
+            return np.zeros_like(draws) if len(calls) == 1 else draws
 
-        monkeypatch.setattr(roughdata, "uniform_block", fake_block)
+        monkeypatch.setattr(roughdata, "_uniform", zero_first_draw)
         with caplog.at_level(logging.WARNING, logger="nls2d.roughdata"):
             f = generate(spec)
         assert calls == [50, 51]
-        assert any("retrying" in r.message for r in caplog.records)
+        assert sum("retrying" in r.message for r in caplog.records) == 1
         monkeypatch.undo()
         assert np.array_equal(f.coeffs, generate(RoughDataSpec(s=1.0, seed=51, n_modes=8)).coeffs)
 
@@ -137,7 +134,7 @@ class TestGenerate:
             assert np.array_equal(c, want.coeffs)
 
     def test_stack_zero_draw_retry(self, monkeypatch, caplog):
-        """An all-zero slice of the batched draw gets ``generate``'s seed bump."""
+        """An all-zero slice of the batched draw alone gets its seed bumped."""
         real_uniform = roughdata._uniform
 
         def zero_seed_52(seeds, count):
