@@ -20,7 +20,7 @@ from typing import Sequence
 from . import bourgain, harness, snapshot
 from .roughdata import RoughDataSpec, generate
 from .spectral import SpectralField, l2_norm
-from .splitting import BlowupError, SchemeParams, evolve, snapshot_observer
+from .splitting import BlowupError, SchemeParams, evolve
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -127,8 +127,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     observer = None
     if args.snapshots is not None:
         args.snapshots.mkdir(parents=True, exist_ok=True)
-        observer = snapshot_observer(args.snapshots, args.run_id)
-    final = evolve(u0, params, observer=observer, observer_every=args.snapshot_every)
+
+        def observer(step, coeffs):
+            snapshot.save_field(SpectralField(args.grid, coeffs),
+                                args.snapshots / f"{args.run_id}_{step}.nls2")
+
+    coeffs, blowup = evolve(u0.coeffs, params, observer=observer,
+                           observer_every=args.snapshot_every)
+    if blowup >= 0:
+        raise BlowupError(int(blowup))
+    final = SpectralField(args.grid, coeffs)
     snapshot.save_field(final, args.out)
     print(f"wrote {args.out} (steps={params.n_steps}, theta={params.theta:.6g}, "
           f"l2={l2_norm(final):.6g})")

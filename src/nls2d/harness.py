@@ -4,9 +4,10 @@ A study couples the grid to the step through ``N(tau) = 2/sqrt(tau)``
 rounded to the nearest even integer, so the filter parameter
 ``theta = max(tau, 4/N^2)`` tracks tau.  Each (s, seed) pair gets one
 high-resolution datum and one cached reference solution; every coarse run
-restricts that datum to the coarse lattice, projects it with its own filter
-(lossless, because the filter width never exceeds the lattice), evolves,
-and records the L2 distance to the reference at the final time.  The runs
+restricts that datum to the coarse lattice, evolves it (the filter that
+:func:`~nls2d.splitting.evolve` applies first is the only projection: its
+width never exceeds the lattice, so restricting first loses nothing), and
+records the L2 distance to the reference at the final time.  The runs
 of one (s, tau) evolve together, as one stack of their seeds.  Each
 finished stack replaces ``records.csv`` whole (sorted, through
 :func:`nls2d.snapshot.staged`), so an interrupted study keeps every
@@ -38,9 +39,10 @@ import numpy as np
 
 from . import snapshot
 from .roughdata import RoughDataSpec, generate
-from .spectral import SpectralField, project, restrict
+from .spectral import SpectralField, restrict
 from .splitting import (
     SCHEME_VERSION,
+    BlowupError,
     SchemeParams,
     default_theta,
     evolve,
@@ -57,7 +59,6 @@ __all__ = [
     "compute_reference",
     "reference_cache_path",
     "l2_error",
-    "coarse_datum",
     "run_study",
     "sensitivity_configs",
     "fit_order",
@@ -273,6 +274,8 @@ def compute_reference(
     entry.
 
     Returns the reference and its cache path (None without ``cache_dir``).
+    Raises :class:`~nls2d.splitting.BlowupError`, caching nothing, if the
+    solve's state becomes non-finite.
     """
     key = _reference_key(u0, tau_ref, t_final, mu)
     path = None
@@ -283,7 +286,10 @@ def compute_reference(
             return cached, path
     n = u0.n_modes
     params = SchemeParams(tau=tau_ref, n_modes=n, mu=mu, t_final=t_final, theta=4.0 / (n * n))
-    final = evolve(u0, params)
+    coeffs, blowup = evolve(u0.coeffs, params)
+    if blowup >= 0:
+        raise BlowupError(int(blowup))
+    final = SpectralField(n, coeffs)
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         with snapshot.staged(path) as tmp:
@@ -308,16 +314,6 @@ def l2_error(coarse: SpectralField, reference: SpectralField) -> float:
     lo = (m - n) // 2
     diff[lo : lo + n, lo : lo + n] += coarse.coeffs
     return 2.0 * np.pi * float(np.sqrt(np.vdot(diff, diff).real))
-
-
-def coarse_datum(datum: SpectralField, theta: float, n_modes: int) -> SpectralField:
-    """Restrict the shared datum to a run's lattice and filter it at the run's theta.
-
-    The filter width ``theta**-0.5`` never exceeds ``n_modes/2`` under the
-    study coupling, so this equals filtering first: the restriction drops
-    only modes the filter zeroes.
-    """
-    return project(restrict(datum, n_modes), theta)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +365,8 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     version) is dropped and recomputed.  Rows resume only under the
     recipe in ``study.json`` (adding an s, a tau or a seed still resumes);
     a different one raises ValueError before anything is written.  On
-    completion the plot data files are refreshed.
+    completion the plot data files are refreshed; ``records.csv`` is left
+    as the last stack wrote it, so a full resume does not touch it.
     """
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     records_path = cfg.output_dir / "records.csv"
@@ -388,12 +385,10 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
 
     records = list(existing)
     lock = threading.Lock()
+    # A draw takes milliseconds, so the data come from this thread; the
+    # reference solves and the sweep run on the pool.
+    data = {(s, seed): generate(cfg.datum_spec(s, seed)) for s, seed in needed_pairs}
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        datum_futures = {
-            (s, seed): pool.submit(generate, cfg.datum_spec(s, seed))
-            for s, seed in needed_pairs
-        }
-        data = {key: fut.result() for key, fut in datum_futures.items()}
         ref_futures = {
             (s, seed): pool.submit(
                 compute_reference,
@@ -412,7 +407,7 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
             rows; each row's wall time is its share of the stack's."""
             n = grid_for_tau(tau)
             theta = default_theta(tau, n)
-            u0 = np.stack([coarse_datum(data[(s, x)], theta, n).coeffs for x in seeds])
+            u0 = np.stack([restrict(data[(s, x)], n).coeffs for x in seeds])
             start = time.perf_counter()
             finals, blowup = evolve(u0, SchemeParams(tau, n, cfg.mu, cfg.t_final))
             errors = []
@@ -434,7 +429,7 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
             fut.result()
 
     records.sort(key=lambda r: r.key)
-    export(records, cfg.output_dir)
+    _write_plots(records, cfg.output_dir)
     return records
 
 
@@ -518,8 +513,14 @@ def export(records: Sequence[ConvergenceRecord], out_dir: str | Path) -> list[Pa
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = [out_dir / "records.csv"]
-    _write_records(records, paths[0])
+    path = out_dir / "records.csv"
+    _write_records(records, path)
+    return [path, *_write_plots(records, out_dir)]
+
+
+def _write_plots(records: Sequence[ConvergenceRecord], out_dir: Path) -> list[Path]:
+    """Replace the plot-data file of every s in ``records``; returns their paths."""
+    paths = []
     for s in sorted({r.s for r in records}):
         path = out_dir / f"plot_s{s:g}.csv"
         x, y = median_curve([r for r in records if r.s == s])

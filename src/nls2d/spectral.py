@@ -35,7 +35,6 @@ __all__ = [
     "project",
     "project_array",
     "window_mask",
-    "embed",
     "restrict",
     "l2_norm",
     "sobolev_norm",
@@ -193,21 +192,8 @@ def window_mask(n: int, theta: float) -> np.ndarray:
     return (k >= -cutoff) & (k < cutoff)
 
 
-def embed(f: SpectralField, n_modes: int) -> SpectralField:
-    """Zero-pad onto a larger mode lattice; the represented field is unchanged."""
-    n, m = f.n_modes, n_modes
-    if m < n:
-        raise ValueError(f"cannot embed lattice {n} into smaller lattice {m}")
-    if m % 2 != 0:
-        raise ValueError(f"target lattice size must be even, got {m}")
-    out = np.zeros((m, m), dtype=np.complex128)
-    lo = (m - n) // 2
-    out[lo : m - lo, lo : m - lo] = f.coeffs
-    return SpectralField(m, out)
-
-
 def restrict(f: SpectralField, n_modes: int) -> SpectralField:
-    """Keep the central block of modes; inverse of :func:`embed` there.
+    """Keep the central block of modes; inverse of zero padding there.
 
     Coefficients outside [-n/2, n/2 - 1]^2 are dropped, so apply a frequency
     projection first when the truncation must be lossless.

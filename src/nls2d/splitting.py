@@ -6,8 +6,9 @@ interpolation back to coefficients, the square frequency filter, and the
 exact free flow over one step.  The interpolation deliberately folds grid
 products back onto the mode lattice; no dealiasing is applied anywhere, and
 the filter width is controlled by ``theta`` alone.  :func:`evolve` filters
-the datum once and runs the steps as one loop over a coefficient array,
-which may hold a stack of data.
+the datum once and runs the steps as one loop over a (..., N, N)
+coefficient array, which may hold a stack of data; it takes and returns
+arrays only, and its callers wrap fields around them.
 Its free-flow phase is :func:`nls2d.spectral.free_phase`, shared with ``bourgain``.
 
 The state after every step is invariant under the filter, and the discrete
@@ -19,28 +20,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from . import snapshot
-from .spectral import SpectralField, free_phase, project_array
+from .spectral import free_phase, project_array
 
 __all__ = [
     "SCHEME_VERSION",
     "BlowupError",
     "SchemeParams",
     "default_theta",
-    "free_flow",
     "evolve",
-    "snapshot_observer",
 ]
 
 # Bump when any change alters the bit-level output of the integrator.
 SCHEME_VERSION = 2
 
-Observer = Callable[[int, SpectralField], None]
+Observer = Callable[[int, np.ndarray], None]
 
 
 class BlowupError(RuntimeError):
@@ -108,33 +105,23 @@ class SchemeParams:
         return self._n_steps
 
 
-def free_flow(f: SpectralField, t: float) -> SpectralField:
-    """Exact free propagator over time t.
-
-    Multiplies the coefficient at k by ``exp(-i*t*|k|^2)``.  Diagonal in
-    frequency, so it commutes with the square frequency filter and
-    preserves every mode modulus.
-    """
-    return SpectralField(f.n_modes, f.coeffs * free_phase(f.n_modes, t))
-
-
 def evolve(
-    u0: SpectralField | np.ndarray,
+    u0: np.ndarray,
     params: SchemeParams,
     observer: Observer | None = None,
     observer_every: int = 1,
-):
-    """Run the scheme from t = 0 to t = t_final.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the scheme from t = 0 to t = t_final on a (..., N, N) coefficient array.
 
-    The initial field is passed through the filter before stepping, so the
-    whole trajectory is filter-invariant.  The observer, when given, is
-    called with ``(step_index, field)`` at step 0, every ``observer_every``
-    steps, and at the final step.
-
-    ``u0`` may also be a (..., N, N) coefficient stack in natural order,
-    whose slices step together, each bit for bit as alone; the observer
-    then sees the stack, and the call returns the final stack and each
-    slice's blow-up step (-1 for none).  A slice that blows up is zeroed.
+    ``u0`` holds coefficients in natural mode order; its leading axes, if
+    any, stack data that step together, each slice bit for bit as alone.
+    The datum is passed through the filter before stepping, so the whole
+    trajectory is filter-invariant.  Returns the final array and each
+    slice's blow-up step, an integer array of the leading shape (0-d for a
+    bare (N, N) datum), -1 where the state stayed finite.  A slice whose
+    state becomes non-finite is zeroed and stepped on as zero.  The
+    observer, when given, is called with ``(step_index, array)`` in natural
+    order at step 0, every ``observer_every`` steps, and at the final step.
 
     The state is one coefficient array in unshifted FFT order.  One step
     samples it on the grid, multiplies every sample by its phase
@@ -148,16 +135,13 @@ def evolve(
 
     Raises
     ------
-    BlowupError
-        If a field's state becomes non-finite; the offending step is named.
     ValueError
         On inconsistent arguments (lattice mismatch, bad observer stride).
     """
     if observer_every < 1:
         raise ValueError(f"observer_every must be >= 1, got {observer_every}")
     n = params.n_modes
-    single = isinstance(u0, SpectralField)
-    coeffs = u0.coeffs[None] if single else np.asarray(u0, dtype=np.complex128)
+    coeffs = np.asarray(u0, dtype=np.complex128)
     if coeffs.shape[-2:] != (n, n):
         raise ValueError(f"field lattice {coeffs.shape[-1]} does not match params.n_modes {n}")
     theta = params.theta
@@ -169,8 +153,7 @@ def evolve(
     n_steps = params.n_steps
 
     def state():
-        out = np.fft.fftshift(c, axes=(-2, -1))
-        return SpectralField(n, out[0]) if single else out
+        return np.fft.fftshift(c, axes=(-2, -1))
 
     if observer is not None:
         observer(0, state())
@@ -195,16 +178,4 @@ def evolve(
                 break
         if observer is not None and (step % observer_every == 0 or step == n_steps):
             observer(step, state())
-    if single and blowup[0] >= 0:
-        raise BlowupError(int(blowup[0]))
-    return state() if single else (state(), blowup)
-
-
-def snapshot_observer(directory: str | Path, run_id: str) -> Observer:
-    """Observer that dumps each observed state to ``{run_id}_{n}.nls2``."""
-    directory = Path(directory)
-
-    def _write(step_index: int, f: SpectralField) -> None:
-        snapshot.save_field(f, directory / f"{run_id}_{step_index}.nls2")
-
-    return _write
+    return state(), blowup

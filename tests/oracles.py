@@ -1,6 +1,7 @@
 """Independent slow-path oracles used across the test suite.
 
-Everything here except :func:`composed_lie_step`,
+Everything here except :func:`free_flow`, :func:`embed`,
+:func:`evolve_field`, :func:`composed_lie_step`,
 :func:`embedded_l2_error`, :func:`twisted_bourgain_norm` and the
 ``snapshot_*`` functions is written against the documented definitions
 with direct summation only: no FFT, no shared code paths with the package
@@ -8,6 +9,10 @@ internals beyond the field containers.
 
 Those are built from the package's single-field functions instead
 (``snapshot_ensemble`` also reuses the private ``bourgain._envelope``).
+:func:`free_flow` and :func:`embed` are the single-field free propagator
+and zero padding, which only the tests use;
+:func:`evolve_field` runs ``evolve`` on one field and raises
+``BlowupError`` as the field-level callers do.
 :func:`composed_lie_step` composes the filtered Lie step stage by stage, as
 the scheme is written down, to check the fused loop in ``evolve``;
 :func:`embedded_l2_error` is the study's error measure through ``embed``,
@@ -26,9 +31,9 @@ import numpy as np
 from nls2d.bourgain import ProbeRow, Trajectory, _envelope, bourgain_norm, time_space_transform
 from nls2d.roughdata import RoughDataSpec, generate
 from nls2d.spectral import (
-    SpectralField, dft_forward, embed, l2_norm, project, sobolev_norm, synthesize,
+    SpectralField, dft_forward, free_phase, l2_norm, project, sobolev_norm, synthesize,
 )
-from nls2d.splitting import SchemeParams, free_flow
+from nls2d.splitting import BlowupError, SchemeParams, evolve
 
 
 def centered_indices(n: int) -> np.ndarray:
@@ -83,6 +88,35 @@ def nonlinear_phase(v: np.ndarray, tau: float, mu: int) -> np.ndarray:
     """
     absq = v.real**2 + v.imag**2
     return np.exp(1j * (mu * tau) * absq) * v
+
+
+def free_flow(f: SpectralField, t: float) -> SpectralField:
+    """Exact free propagator over time t: the coefficient at k times ``exp(-i*t*|k|^2)``."""
+    return SpectralField(f.n_modes, f.coeffs * free_phase(f.n_modes, t))
+
+
+def embed(f: SpectralField, n_modes: int) -> SpectralField:
+    """Zero-pad onto a larger mode lattice; the represented field is unchanged."""
+    n, m = f.n_modes, n_modes
+    if m < n:
+        raise ValueError(f"cannot embed lattice {n} into smaller lattice {m}")
+    if m % 2 != 0:
+        raise ValueError(f"target lattice size must be even, got {m}")
+    out = np.zeros((m, m), dtype=np.complex128)
+    lo = (m - n) // 2
+    out[lo : m - lo, lo : m - lo] = f.coeffs
+    return SpectralField(m, out)
+
+
+def evolve_field(u0: SpectralField, params: SchemeParams, observer=None, observer_every=1):
+    """``evolve`` on one field: the observer sees fields, and a blow-up raises."""
+    n = u0.n_modes
+    wrapped = None if observer is None else (
+        lambda step, c: observer(step, SpectralField(n, c)))
+    final, blowup = evolve(u0.coeffs, params, observer=wrapped, observer_every=observer_every)
+    if blowup >= 0:
+        raise BlowupError(int(blowup))
+    return SpectralField(n, final)
 
 
 def composed_lie_step(f: SpectralField, params: SchemeParams) -> SpectralField:

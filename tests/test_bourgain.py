@@ -23,10 +23,10 @@ from nls2d.bourgain import (
 from nls2d.roughdata import RoughDataSpec, generate
 from nls2d.spectral import (NonFiniteFieldError, l2_norm, project_array, sobolev_norm,
                             window_mask)
-from nls2d.splitting import free_flow
 
 from oracles import (
     brute_force_bourgain_norm,
+    free_flow,
     plane_wave,
     snapshot_ensemble,
     snapshot_fields,

@@ -16,7 +16,6 @@ from nls2d.harness import (
     ConvergenceRecord,
     RECORD_COLUMNS,
     StudyConfig,
-    coarse_datum,
     compute_reference,
     export,
     fit_order,
@@ -33,10 +32,12 @@ from nls2d.harness import (
     sensitivity_configs,
 )
 from nls2d.roughdata import RoughDataSpec, generate
-from nls2d.spectral import SpectralField, embed, project, restrict, synthesize
-from nls2d.splitting import SchemeParams, default_theta, evolve
+from nls2d.spectral import SpectralField, project, restrict, synthesize
+from nls2d.splitting import BlowupError, SchemeParams, default_theta, evolve
 
-from oracles import embedded_l2_error, plane_wave, plane_wave_solution, quadrature_l2
+from oracles import (
+    embed, embedded_l2_error, evolve_field, plane_wave, plane_wave_solution, quadrature_l2,
+)
 
 RNG = np.random.default_rng(31)
 
@@ -159,27 +160,17 @@ class TestErrorMeasure:
         with pytest.raises(ValueError, match="exceeds reference"):
             l2_error(plane_wave(16, 1.0, (0, 0)), plane_wave(8, 1.0, (0, 0)))
 
-    def test_coarse_datum_window(self):
-        """coarse_datum keeps exactly the half-open filter square."""
-        datum = SpectralField(
-            16, RNG.standard_normal((16, 16)) + 1j * RNG.standard_normal((16, 16)))
-        got = coarse_datum(datum, 0.25, 8)  # cutoff 2
-        assert got.n_modes == 8
-        for i in range(8):
-            for j in range(8):
-                k1, k2 = i - 4, j - 4
-                inside = -2 <= k1 < 2 and -2 <= k2 < 2
-                want = datum.coeffs[8 + k1, 8 + k2] if inside else 0.0
-                assert got.coeffs[i, j] == want
-
-    def test_coarse_datum_restricts_then_filters(self):
-        """Slicing first gives the filtered-then-restricted datum of every study grid."""
+    def test_sweep_datum_needs_no_prefilter(self):
+        """On every study grid, evolving the restricted datum equals evolving
+        the filtered-then-restricted one bit for bit: evolve's own filter
+        is the only projection a coarse run needs."""
         datum = generate(RoughDataSpec(s=1.0, seed=4, n_modes=64))
         for tau in (2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8):
             n = grid_for_tau(tau)
-            theta = default_theta(tau, n)
-            want = restrict(project(datum, theta), n)
-            assert np.array_equal(coarse_datum(datum, theta, n).coeffs, want.coeffs)
+            p = SchemeParams(tau, n, -1, 4 * tau)
+            got, _ = evolve(restrict(datum, n).coeffs, p)
+            want, _ = evolve(restrict(project(datum, p.theta), n).coeffs, p)
+            assert np.array_equal(got, want)
 
 
 class TestReference:
@@ -242,6 +233,14 @@ class TestReference:
         assert caplog.records == []
         assert path.exists() and path.with_suffix(".json").exists()
 
+    def test_blowup_raises_and_caches_nothing(self, tmp_path):
+        """A reference solve that overflows raises before any cache write."""
+        with np.errstate(all="ignore"), pytest.raises(BlowupError, match="step 0"):
+            compute_reference(plane_wave(8, 1e200, (0, 0)), 2.0**-4, 0.25, mu=1,
+                              cache_dir=tmp_path)
+        assert list(tmp_path.glob("ref_*.nls2")) == []
+        assert list(tmp_path.glob("*.json")) == []
+
     def test_distinct_recipes_distinct_paths(self, tmp_path):
         a = reference_cache_path(tmp_path, "key-a")
         assert a == reference_cache_path(tmp_path, "key-a")
@@ -257,8 +256,8 @@ class TestReference:
         drift = l2_error(ref_a, ref_b)
 
         n = grid_for_tau(2.0**-6)
-        u0 = coarse_datum(datum, default_theta(2.0**-6, n), n)
-        final = evolve(u0, SchemeParams(tau=2.0**-6, n_modes=n, mu=-1, t_final=0.125))
+        u0 = restrict(datum, n)
+        final = evolve_field(u0, SchemeParams(tau=2.0**-6, n_modes=n, mu=-1, t_final=0.125))
         coarse_err = l2_error(final, ref_a)
         assert drift < coarse_err / 10.0
 
@@ -271,8 +270,7 @@ class TestReference:
         theta = default_theta(tau, 16)
         assert theta == 4.0 / 16**2 == tau
         ref, _ = compute_reference(datum, tau, 0.25)
-        final = evolve(coarse_datum(datum, theta, 16),
-                       SchemeParams(tau=tau, n_modes=16, mu=-1, t_final=0.25))
+        final = evolve_field(datum, SchemeParams(tau=tau, n_modes=16, mu=-1, t_final=0.25))
         assert l2_error(final, ref) == 0.0
 
 
@@ -324,7 +322,9 @@ class TestRunStudy:
                             lambda *a, **k: pytest.fail("resume must not re-evolve"))
         monkeypatch.setattr(harness, "generate",
                             lambda *a, **k: pytest.fail("resume must not regenerate data"))
+        inode = (cfg.output_dir / "records.csv").stat().st_ino
         assert run_study(cfg) == records
+        assert (cfg.output_dir / "records.csv").stat().st_ino == inode
 
     def test_partial_resume_fills_only_gaps(self, mini_study, monkeypatch):
         cfg, records = mini_study
@@ -424,7 +424,7 @@ class TestRunStudy:
             ref, _ = compute_reference(datum, cfg.tau_reference, cfg.t_final, cfg.mu,
                                        cfg.resolved_cache_dir)
             u0 = restrict(project(datum, rec.theta), rec.n_modes)
-            final = evolve(u0, SchemeParams(rec.tau, rec.n_modes, cfg.mu, cfg.t_final))
+            final = evolve_field(u0, SchemeParams(rec.tau, rec.n_modes, cfg.mu, cfg.t_final))
             assert rec.l2_error == embedded_l2_error(final, ref)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

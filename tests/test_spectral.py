@@ -7,7 +7,6 @@ from nls2d.spectral import (
     NonFiniteFieldError,
     SpectralField,
     dft_forward,
-    embed,
     free_phase,
     l2_norm,
     l2h_norm,
@@ -17,9 +16,8 @@ from nls2d.spectral import (
     sobolev_norm,
     synthesize,
 )
-from nls2d.splitting import free_flow
 
-from oracles import naive_dft, naive_synthesize, quadrature_l2
+from oracles import embed, free_flow, naive_dft, naive_synthesize, quadrature_l2
 
 RNG = np.random.default_rng(20240815)
 

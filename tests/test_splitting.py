@@ -18,17 +18,16 @@ from nls2d.spectral import (
     synthesize,
 )
 from nls2d.splitting import (
-    BlowupError,
     SchemeParams,
     default_theta,
     evolve,
-    free_flow,
-    snapshot_observer,
 )
 from nls2d.roughdata import RoughDataSpec, generate
-from nls2d.snapshot import load_field
+from nls2d.snapshot import load_field, save_field
 
-from oracles import composed_lie_step, nonlinear_phase, plane_wave, plane_wave_solution
+from oracles import (
+    composed_lie_step, evolve_field, free_flow, nonlinear_phase, plane_wave, plane_wave_solution,
+)
 
 RNG = np.random.default_rng(4711)
 
@@ -48,17 +47,17 @@ COLD_START_SCRIPT = textwrap.dedent("""
 
     n, tau = 256, 2.0**-14
     params = SchemeParams(tau=tau, n_modes=n, mu=-1, t_final=8 * tau)
-    data = [generate(RoughDataSpec(s=1.0, seed=seed, n_modes=n)) for seed in (1, 2)]
+    data = [generate(RoughDataSpec(s=1.0, seed=seed, n_modes=n)).coeffs for seed in (1, 2)]
     barrier = threading.Barrier(2, timeout=60)
     sys.setswitchinterval(1e-5)
 
     def run(u0):
-        return evolve(u0, params, observer=lambda i, f: i == 0 and barrier.wait())
+        return evolve(u0, params, observer=lambda i, c: i == 0 and barrier.wait())[0]
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         pooled = list(pool.map(run, data))
-    serial = [evolve(u0, params) for u0 in data]
-    print(all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(pooled, serial)))
+    serial = [evolve(u0, params)[0] for u0 in data]
+    print(all(np.array_equal(a, b) for a, b in zip(pooled, serial)))
 """)
 
 
@@ -161,7 +160,7 @@ class TestLieStep:
         n, tau, mu, a = 16, 2.0**-5, 1, 0.7 + 0.1j
         p = SchemeParams(tau=tau, n_modes=n, mu=mu, t_final=8 * tau)
         steps = []
-        out = evolve(plane_wave(n, a, (0, 0)), p, observer=lambda i, f: steps.append(i))
+        out = evolve_field(plane_wave(n, a, (0, 0)), p, observer=lambda i, f: steps.append(i))
         got = out.coeffs[n // 2, n // 2]
         want = a * np.exp(1j * mu * 8 * tau * abs(a) ** 2)
         assert abs(got - want) <= 1e-13
@@ -171,7 +170,7 @@ class TestLieStep:
         """Single-mode data gains exp(i*(mu*|a|^2 - |k|^2)*tau) per step."""
         n, tau, mu, a, k = 16, 2.0**-4, -1, 0.25, (1, 2)
         p = SchemeParams(tau=tau, n_modes=n, mu=mu, t_final=tau)
-        out = evolve(plane_wave(n, a, k), p)
+        out = evolve_field(plane_wave(n, a, k), p)
         got = out.coeffs[n // 2 + k[0], n // 2 + k[1]]
         assert abs(got - plane_wave_solution(a, k, mu, tau)) <= 1e-14
 
@@ -179,14 +178,14 @@ class TestLieStep:
         """The output field is invariant under the step's own filter."""
         n = 16
         p = SchemeParams(tau=2.0**-3, n_modes=n, mu=-1, t_final=2.0**-3)
-        out = evolve(project(random_field(n), p.theta), p)
+        out = evolve_field(project(random_field(n), p.theta), p)
         assert np.array_equal(project(out, p.theta).coeffs, out.coeffs)
 
     def test_zero_field_fixed_point(self):
         n = 8
         p = SchemeParams(tau=0.5, n_modes=n, mu=1, t_final=0.5)
         z = SpectralField(n, np.zeros((n, n), dtype=complex))
-        out = evolve(z, p)
+        out = evolve_field(z, p)
         assert np.abs(out.coeffs).max() == 0.0
 
 
@@ -204,7 +203,7 @@ class TestComposedOracle:
         want = project(u0, p.theta)
         for _ in range(steps):
             want = composed_lie_step(want, p)
-        got = evolve(u0, p)
+        got = evolve_field(u0, p)
         diff = l2_norm(SpectralField(n, got.coeffs - want.coeffs))
         assert diff <= 1e-13 * l2_norm(want)
 
@@ -214,14 +213,14 @@ class TestEvolve:
         n = 16
         p = SchemeParams(tau=2.0**-3, n_modes=n, mu=-1, t_final=0.0)
         u0 = random_field(n)
-        out = evolve(u0, p)
+        out = evolve_field(u0, p)
         assert np.array_equal(out.coeffs, project(u0, p.theta).coeffs)
 
     def test_plane_wave_long_run(self):
         """1024 steps of a single mode stay on the analytic solution."""
         n, tau, mu, a, k = 32, 2.0**-10, -1, 0.1, (1, 2)
         p = SchemeParams(tau=tau, n_modes=n, mu=mu, t_final=1.0)
-        out = evolve(plane_wave(n, a, k), p)
+        out = evolve_field(plane_wave(n, a, k), p)
         want = plane_wave(n, plane_wave_solution(a, k, mu, 1.0), k)
         err = l2_norm(SpectralField(n, out.coeffs - want.coeffs))
         assert err <= 1e-10
@@ -230,8 +229,8 @@ class TestEvolve:
         """Two identical runs agree bit for bit."""
         u0 = generate(RoughDataSpec(s=1.0, seed=5, n_modes=16))
         p = SchemeParams(tau=2.0**-6, n_modes=16, mu=-1, t_final=0.25)
-        a = evolve(u0, p)
-        b = evolve(u0, p)
+        a = evolve_field(u0, p)
+        b = evolve_field(u0, p)
         assert np.array_equal(a.coeffs, b.coeffs)
 
     def test_mass_conserved_identity_filter(self):
@@ -240,7 +239,7 @@ class TestEvolve:
         u0 = generate(RoughDataSpec(s=1.0, seed=3, n_modes=n))
         p = SchemeParams(tau=2.0**-8, n_modes=n, mu=-1, t_final=0.5)
         masses = []
-        evolve(u0, p, observer=lambda i, f: masses.append(l2_norm(f)))
+        evolve_field(u0, p, observer=lambda i, f: masses.append(l2_norm(f)))
         m = np.array(masses)
         assert p.theta == 4.0 / n**2
         assert np.abs(m - m[0]).max() <= 1e-12 * m[0]
@@ -252,7 +251,7 @@ class TestEvolve:
         p = SchemeParams(tau=tau, n_modes=n, mu=1, t_final=2.0)
         assert p.theta == tau and p.theta > 4.0 / n**2
         masses = []
-        evolve(u0, p, observer=lambda i, f: masses.append(l2_norm(f)))
+        evolve_field(u0, p, observer=lambda i, f: masses.append(l2_norm(f)))
         assert all(b <= a + 1e-14 for a, b in zip(masses, masses[1:]))
         # the first filtered step genuinely drops mass for rough data
         assert masses[-1] < masses[0]
@@ -263,7 +262,7 @@ class TestEvolve:
         u0 = generate(RoughDataSpec(s=1.0, seed=2, n_modes=n))
         p = SchemeParams(tau=2.0**-4, n_modes=n, mu=-1, t_final=0.5)
         seen = []
-        evolve(u0, p, observer=lambda i, f: seen.append(f))
+        evolve_field(u0, p, observer=lambda i, f: seen.append(f))
         for f in seen:
             assert np.array_equal(project(f, p.theta).coeffs, f.coeffs)
 
@@ -272,18 +271,18 @@ class TestEvolve:
         u0 = random_field(n)
         p = SchemeParams(tau=0.125, n_modes=n, mu=-1, t_final=1.25)  # 10 steps
         steps = []
-        evolve(u0, p, observer=lambda i, f: steps.append(i), observer_every=4)
+        evolve_field(u0, p, observer=lambda i, f: steps.append(i), observer_every=4)
         assert steps == [0, 4, 8, 10]
 
     def test_lattice_mismatch_rejected(self):
         p = SchemeParams(tau=0.5, n_modes=8, mu=-1, t_final=1.0)
         with pytest.raises(ValueError, match="lattice"):
-            evolve(random_field(16), p)
+            evolve_field(random_field(16), p)
 
     def test_observer_stride_validated(self):
         p = SchemeParams(tau=0.5, n_modes=8, mu=-1, t_final=1.0)
         with pytest.raises(ValueError, match="observer_every"):
-            evolve(random_field(8), p, observer=lambda i, f: None, observer_every=0)
+            evolve_field(random_field(8), p, observer=lambda i, f: None, observer_every=0)
 
     def test_first_order_in_time(self):
         """Self-convergence against a tau/64 rerun shows slope 1.0 +- 0.15."""
@@ -296,21 +295,24 @@ class TestEvolve:
         theta = 4.0 / n**2  # frozen filter so only the step size varies
         errs, taus = [], [2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7]
         for tau in taus:
-            coarse = evolve(u0, SchemeParams(tau, n, -1, 0.25, theta=theta))
-            fine = evolve(u0, SchemeParams(tau / 64, n, -1, 0.25, theta=theta))
+            coarse = evolve_field(u0, SchemeParams(tau, n, -1, 0.25, theta=theta))
+            fine = evolve_field(u0, SchemeParams(tau / 64, n, -1, 0.25, theta=theta))
             errs.append(l2_norm(SpectralField(n, coarse.coeffs - fine.coeffs)))
         slope = np.polyfit(np.log2(taus), np.log2(errs), 1)[0]
         assert abs(slope - 1.0) <= 0.15
 
     def test_blowup_detected_and_named(self):
-        """Overflowing samples surface as a blowup error naming the step."""
+        """Overflowing samples of a bare datum give a 0-d blow-up step and a zeroed state."""
         n = 8
-        u0 = plane_wave(n, 1e200, (0, 0))
+        u0 = plane_wave(n, 1e200, (0, 0)).coeffs
         p = SchemeParams(tau=2.0**-4, n_modes=n, mu=1, t_final=1.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(BlowupError, match="step 0") as info:
-                evolve(u0, p)
-        assert info.value.step == 0
+            final, blowup = evolve(u0, p)
+            finals, blowups = evolve(np.stack([random_field(n).coeffs, u0]), p)
+        assert blowup.shape == () and blowup == 0
+        assert final.shape == (n, n) and not final.any()
+        assert blowups.tolist() == [-1, 0]
+        assert finals[0].any() and not finals[1].any()
 
     @pytest.mark.parametrize("n, tau", [(16, 2.0**-6), (22, 2.0**-7), (46, 2.0**-9)])
     def test_stack_matches_solo_runs(self, n, tau):
@@ -321,7 +323,7 @@ class TestEvolve:
         finals, blowup = evolve(np.stack([f.coeffs for f in data]), p)
         assert blowup.tolist() == [-1, -1, -1]
         for f, got in zip(data, finals):
-            assert np.array_equal(got, evolve(f, p).coeffs)
+            assert np.array_equal(got, evolve_field(f, p).coeffs)
 
     def test_stack_blowup_is_per_slice(self):
         """A slice that blows up is named and zeroed; the others run on as alone."""
@@ -333,7 +335,7 @@ class TestEvolve:
             finals, blowup = evolve(stack, p)
         assert blowup.tolist() == [0, -1]
         assert not finals[0].any()
-        assert np.array_equal(finals[1], evolve(calm, p).coeffs)
+        assert np.array_equal(finals[1], evolve_field(calm, p).coeffs)
 
     def test_concurrent_cold_start_bits(self):
         """Concurrent first runs in a fresh process match serial runs bit for bit."""
@@ -347,14 +349,20 @@ class TestEvolve:
             assert proc.stdout.strip() == "True"
 
     def test_snapshot_observer_files(self, tmp_path):
-        """The file observer writes loadable per-step snapshots."""
+        """The observer sees natural-order arrays that save as per-step snapshots."""
         n = 8
         u0 = random_field(n)
         p = SchemeParams(tau=0.25, n_modes=n, mu=-1, t_final=1.0)
-        final = evolve(u0, p, observer=snapshot_observer(tmp_path, "case"), observer_every=2)
+
+        def observer(step, coeffs):
+            save_field(SpectralField(n, coeffs), tmp_path / f"case_{step}.nls2")
+
+        final, _ = evolve(u0.coeffs, p, observer=observer, observer_every=2)
         names = sorted(q.name for q in tmp_path.glob("*.nls2"))
         assert names == ["case_0.nls2", "case_2.nls2", "case_4.nls2"]
-        assert np.array_equal(load_field(tmp_path / "case_4.nls2").coeffs, final.coeffs)
+        assert np.array_equal(load_field(tmp_path / "case_0.nls2").coeffs,
+                              project(u0, p.theta).coeffs)
+        assert np.array_equal(load_field(tmp_path / "case_4.nls2").coeffs, final)
 
 
 if __name__ == "__main__":
