@@ -1,6 +1,6 @@
 """Filtered Lie splitting for the cubic Schrodinger equation on the 2D torus.
 
-Subpackages: :mod:`nls2d.spectral` (fields, transforms, filters, norms),
+Subpackages: :mod:`nls2d.spectral` (coefficient arrays, transforms, filters, norms),
 :mod:`nls2d.splitting` (the integrator), :mod:`nls2d.roughdata` (seeded
 low-regularity data), :mod:`nls2d.bourgain` (discrete space-time norms and
 estimate probes), :mod:`nls2d.harness` (convergence studies), and

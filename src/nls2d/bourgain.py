@@ -1,9 +1,11 @@
 """Discrete space-time norms and estimate probes for solver trajectories.
 
-A trajectory is a finite window of M spectral snapshots taken every tau,
-held as one complex (M, N, N) coefficient stack and extended by zero
-outside the window.  Every functional below evaluates the whole stack with
-array operations, not one snapshot at a time.  Its time-space transform is
+A trajectory is a finite window of M snapshots taken every tau, held as
+one complex (M, N, N) coefficient stack and extended by zero outside the
+window.  Every functional below evaluates the whole stack with array
+operations, not one snapshot at a time; the per-snapshot ones are the
+stacked forms of :func:`nls2d.spectral.synthesize` and
+:func:`nls2d.spectral.sobolev_norm`.  Its time-space transform is
 
     F(sigma, k) = tau * sum_{m=0}^{M-1} c_m(k) * exp(i*m*tau*sigma),
 
@@ -53,7 +55,7 @@ import numpy as np
 
 from .roughdata import RoughDataSpec, generate, generate_stack, uniform_block
 from .snapshot import staged
-from .spectral import (_fft_slots, _validate_square, free_phase, mode_ksq, project_array,
+from .spectral import (_validate_square, free_phase, mode_ksq, project, sobolev_norm, synthesize,
                        window_mask)
 
 __all__ = [
@@ -88,7 +90,7 @@ class Trajectory:
         arr = np.asarray(self.coeffs, dtype=np.complex128)
         if arr.ndim != 3 or len(arr) < 1:
             raise ValueError(f"a trajectory needs an (M, N, N) stack with M >= 1, got {arr.shape}")
-        _validate_square(arr, arr.shape[-1], "trajectory", arr.shape[:1])
+        _validate_square(arr, "trajectory", arr.shape[:1])
         object.__setattr__(self, "coeffs", arr)
 
     @property
@@ -110,12 +112,9 @@ class Trajectory:
     @cached_property
     def l4_sum(self) -> float:
         """The tau-free sum of :func:`trajectory_l4`: ``trajectory_l4 = (tau * l4_sum)**0.25``."""
-        m = 2 * self.n_modes
-        c = _fft_slots(self.coeffs, m)
-        np.fft.ifftn(c, axes=(-2, -1), out=c)  # synthesis on the doubled grid, in place
-        c *= m * m
-        v = np.fft.fftshift(c.real**2 + c.imag**2, axes=(-2, -1))
-        cell = (2.0 * np.pi / m) ** 2
+        g = synthesize(self.coeffs, 2 * self.n_modes)
+        v = g.real**2 + g.imag**2
+        cell = (2.0 * np.pi / g.shape[-1]) ** 2
         total = 0.0
         for q in np.sum((v * v).reshape(len(v), -1), axis=1):  # each slice's np.sum, bit for bit
             total += cell * float(q)
@@ -179,8 +178,7 @@ def trajectory_l2(tr: Trajectory) -> float:
 
 def trajectory_sup_sobolev(tr: Trajectory, s: float) -> float:
     """Largest H^s norm (``spectral.sobolev_norm``) over the window."""
-    x = (1.0 + mode_ksq(tr.n_modes)) ** s * (tr.coeffs.real**2 + tr.coeffs.imag**2)
-    return 2.0 * np.pi * float(np.sqrt(np.sum(x.reshape(len(x), -1), axis=1).max()))
+    return float(sobolev_norm(tr.coeffs, s).max())
 
 
 def trajectory_l4(tr: Trajectory) -> float:
@@ -270,7 +268,7 @@ def estimate_probe(
                 if window in l4_sums:
                     lhs = float((tr.tau * l4_sums[window]) ** 0.25)
                 else:  # trajectory_l4 caches the sum on the filtered trajectory
-                    filtered = Trajectory(tr.tau, project_array(tr.coeffs, tr.tau))
+                    filtered = Trajectory(tr.tau, project(tr.coeffs, tr.tau))
                     lhs, l4_sums[window] = trajectory_l4(filtered), filtered.l4_sum
                 rhs = bourgain_norm(tr, s / 2.0, 1.0 - b)
             if rhs == 0.0:
@@ -330,7 +328,7 @@ def probe_ensemble(
             for tau in taus:
                 yield seed, Trajectory(tau, stack)
         else:
-            v = generate(spec).coeffs
+            v = generate(spec)
             env = _envelope(spec.seed + 7, window)[:, None, None]
             for tau, phase in zip(taus, phases):
                 yield seed, Trajectory(tau, env * (v * phase))

@@ -17,9 +17,11 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import bourgain, harness, snapshot
 from .roughdata import RoughDataSpec, generate
-from .spectral import SpectralField, l2_norm
+from .spectral import l2_norm
 from .splitting import BlowupError, SchemeParams, evolve
 
 EXIT_OK = 0
@@ -35,7 +37,7 @@ def _datum_args(p: argparse.ArgumentParser, required: bool) -> None:
     p.add_argument("--target-l2", type=float, default=0.1, help="L2 norm of the datum")
 
 
-def _datum(args: argparse.Namespace, n_modes: int) -> SpectralField:
+def _datum(args: argparse.Namespace, n_modes: int) -> np.ndarray:
     return generate(RoughDataSpec(s=args.s, seed=args.seed, n_modes=n_modes,
                                   eps=args.eps, target_l2=args.target_l2))
 
@@ -107,17 +109,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_generate(args: argparse.Namespace) -> int:
     field = _datum(args, args.grid)
     snapshot.save_field(field, args.out)
-    print(f"wrote {args.out} (N={field.n_modes}, l2={l2_norm(field):.6g})")
+    print(f"wrote {args.out} (N={args.grid}, l2={l2_norm(field):.6g})")
     return EXIT_OK
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.datum_in is not None:
         u0 = snapshot.load_field(args.datum_in)
-        if u0.n_modes != args.grid:
-            raise ValueError(
-                f"snapshot lattice {u0.n_modes} does not match --grid {args.grid}"
-            )
+        if u0.shape[-1] != args.grid:
+            raise ValueError(f"snapshot lattice {u0.shape[-1]} does not match --grid {args.grid}")
     else:
         if args.s is None or args.seed is None:
             raise ValueError("run needs either --in or both --s and --seed")
@@ -129,14 +129,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.snapshots.mkdir(parents=True, exist_ok=True)
 
         def observer(step, coeffs):
-            snapshot.save_field(SpectralField(args.grid, coeffs),
-                                args.snapshots / f"{args.run_id}_{step}.nls2")
+            snapshot.save_field(coeffs, args.snapshots / f"{args.run_id}_{step}.nls2")
 
-    coeffs, blowup = evolve(u0.coeffs, params, observer=observer,
-                           observer_every=args.snapshot_every)
+    final, blowup = evolve(u0, params, observer=observer, observer_every=args.snapshot_every)
     if blowup >= 0:
         raise BlowupError(int(blowup))
-    final = SpectralField(args.grid, coeffs)
     snapshot.save_field(final, args.out)
     print(f"wrote {args.out} (steps={params.n_steps}, theta={params.theta:.6g}, "
           f"l2={l2_norm(final):.6g})")

@@ -33,13 +33,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 import numpy as np
 
 from . import snapshot
 from .roughdata import RoughDataSpec, generate
-from .spectral import SpectralField, restrict
+from .spectral import restrict
 from .splitting import (
     SCHEME_VERSION,
     BlowupError,
@@ -219,11 +219,11 @@ class OrderFit:
 # reference solutions
 
 
-def _reference_key(u0: SpectralField, tau_ref: float, t_final: float, mu: int) -> str:
-    digest = hashlib.sha256(np.ascontiguousarray(u0.coeffs, dtype="<c16").tobytes()).hexdigest()
+def _reference_key(u0: np.ndarray, tau_ref: float, t_final: float, mu: int) -> str:
+    digest = hashlib.sha256(np.ascontiguousarray(u0, dtype="<c16").tobytes()).hexdigest()
     return "|".join([
         f"scheme={SCHEME_VERSION}",
-        f"n_modes={u0.n_modes}",
+        f"n_modes={u0.shape[-1]}",
         f"tau_ref={float(tau_ref).hex()}",
         f"T={float(t_final).hex()}",
         f"mu={mu}",
@@ -236,7 +236,8 @@ def reference_cache_path(cache_dir: str | Path, key: str) -> Path:
     return Path(cache_dir) / f"ref_{digest[:32]}.nls2"
 
 
-def _try_load_reference(path: Path, key: str) -> SpectralField | None:
+def _try_load_reference(path: Path, key: str) -> np.ndarray | None:
+    """The cached reference at ``path``, parsed from the very bytes whose hash matched."""
     meta_path = path.with_suffix(".json")
     if not path.exists() or not meta_path.exists():
         return None
@@ -245,24 +246,24 @@ def _try_load_reference(path: Path, key: str) -> SpectralField | None:
         if meta.get("key") != key:
             logger.warning("reference cache %s keyed to a different run; recomputing", path)
             return None
-        payload_sha = hashlib.sha256(path.read_bytes()).hexdigest()
-        if payload_sha != meta.get("payload_sha256"):
+        blob = path.read_bytes()
+        if hashlib.sha256(blob).hexdigest() != meta.get("payload_sha256"):
             logger.warning("reference cache %s is corrupt (hash mismatch); recomputing", path)
             return None
-        return snapshot.load_field(path)
+        return snapshot.decode_field(blob, path)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         logger.warning("reference cache %s unreadable (%s); recomputing", path, exc)
         return None
 
 
 def compute_reference(
-    u0: SpectralField,
+    u0: np.ndarray,
     tau_ref: float,
     t_final: float,
     mu: int = -1,
     cache_dir: str | Path | None = None,
-) -> tuple[SpectralField, Path | None]:
-    """Reference solution of the datum ``u0`` on its own lattice, cached on disk.
+) -> tuple[np.ndarray, Path | None]:
+    """Reference solution of the (K, K) datum ``u0`` on its own lattice, cached on disk.
 
     The reference runs the same integrator with the filter held at the
     lattice identity (``theta = 4/K^2`` for a K-mode datum).  Cache entries
@@ -284,12 +285,11 @@ def compute_reference(
         cached = _try_load_reference(path, key)
         if cached is not None:
             return cached, path
-    n = u0.n_modes
+    n = u0.shape[-1]
     params = SchemeParams(tau=tau_ref, n_modes=n, mu=mu, t_final=t_final, theta=4.0 / (n * n))
-    coeffs, blowup = evolve(u0.coeffs, params)
+    final, blowup = evolve(u0, params)
     if blowup >= 0:
         raise BlowupError(int(blowup))
-    final = SpectralField(n, coeffs)
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         with snapshot.staged(path) as tmp:
@@ -300,19 +300,19 @@ def compute_reference(
     return final, path
 
 
-def l2_error(coarse: SpectralField, reference: SpectralField) -> float:
-    """L2 distance of the coarse field, zero-padded onto the reference lattice.
+def l2_error(coarse: np.ndarray, reference: np.ndarray) -> float:
+    """L2 distance of the (n, n) coarse field, zero-padded onto the (m, m) reference lattice.
 
     The difference is ``-reference`` with the coarse block added on its
     central modes; outside the block that differs from ``0 - reference``
     only in the sign of zeros, which the norm ignores.
     """
-    n, m = coarse.n_modes, reference.n_modes
+    n, m = coarse.shape[-1], reference.shape[-1]
     if n > m:
         raise ValueError(f"coarse lattice {n} exceeds reference lattice {m}")
-    diff = np.negative(reference.coeffs)
+    diff = np.negative(reference)
     lo = (m - n) // 2
-    diff[lo : lo + n, lo : lo + n] += coarse.coeffs
+    diff[lo : lo + n, lo : lo + n] += coarse
     return 2.0 * np.pi * float(np.sqrt(np.vdot(diff, diff).real))
 
 
@@ -335,7 +335,7 @@ def _write_records(records: Iterable[ConvergenceRecord], path: Path) -> None:
 
 
 def _claim_output_dir(cfg: StudyConfig, resuming: bool) -> None:
-    """Write the recipe all rows share to ``study.json``; resumed rows need a match."""
+    """Write the recipe all rows share to ``study.json``; a resume must match it, and keeps it."""
     path = cfg.output_dir / "study.json"
     want = {"scheme": SCHEME_VERSION}
     for key, field, _, encode in CONFIG_KEYS:
@@ -350,6 +350,7 @@ def _claim_output_dir(cfg: StudyConfig, resuming: bool) -> None:
         if differ:
             raise ValueError(f"{cfg.output_dir} holds records of a different study "
                              f"(differing: {', '.join(differ)}); use a new output_dir")
+        return
     with snapshot.staged(path) as tmp:
         tmp.write_text(json.dumps(want, indent=2) + "\n")
 
@@ -365,8 +366,8 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     version) is dropped and recomputed.  Rows resume only under the
     recipe in ``study.json`` (adding an s, a tau or a seed still resumes);
     a different one raises ValueError before anything is written.  On
-    completion the plot data files are refreshed; ``records.csv`` is left
-    as the last stack wrote it, so a full resume does not touch it.
+    completion the plot file of each s is rewritten if a stack of that s
+    ran or the file is missing, so a full resume writes nothing.
     """
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     records_path = cfg.output_dir / "records.csv"
@@ -407,7 +408,7 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
             rows; each row's wall time is its share of the stack's."""
             n = grid_for_tau(tau)
             theta = default_theta(tau, n)
-            u0 = np.stack([restrict(data[(s, x)], n).coeffs for x in seeds])
+            u0 = np.stack([restrict(data[(s, x)], n) for x in seeds])
             start = time.perf_counter()
             finals, blowup = evolve(u0, SchemeParams(tau, n, cfg.mu, cfg.t_final))
             errors = []
@@ -415,8 +416,7 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
                 if step >= 0:
                     logger.warning("run (s=%g, tau=%g, seed=%d) blew up: non-finite "
                                    "solver state at step %d", s, tau, seed, step)
-                errors.append(math.nan if step >= 0
-                              else l2_error(SpectralField(n, final), refs[(s, seed)]))
+                errors.append(math.nan if step >= 0 else l2_error(final, refs[(s, seed)]))
             wall = (time.perf_counter() - start) / len(seeds)
             with lock:
                 records.extend(ConvergenceRecord(s, tau, n, theta, seed, err, wall)
@@ -429,7 +429,8 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
             fut.result()
 
     records.sort(key=lambda r: r.key)
-    _write_plots(records, cfg.output_dir)
+    ran = {s for (s, _), seeds in rows.items() if seeds}
+    _write_plots(records, cfg.output_dir, unchanged={r.s for r in records} - ran)
     return records
 
 
@@ -518,11 +519,15 @@ def export(records: Sequence[ConvergenceRecord], out_dir: str | Path) -> list[Pa
     return [path, *_write_plots(records, out_dir)]
 
 
-def _write_plots(records: Sequence[ConvergenceRecord], out_dir: Path) -> list[Path]:
-    """Replace the plot-data file of every s in ``records``; returns their paths."""
+def _write_plots(records: Sequence[ConvergenceRecord], out_dir: Path,
+                 unchanged: Container[float] = ()) -> list[Path]:
+    """Replace the plot-data file of every s in ``records``, but keep an existing
+    one whose s is in ``unchanged``; returns the paths written."""
     paths = []
     for s in sorted({r.s for r in records}):
         path = out_dir / f"plot_s{s:g}.csv"
+        if s in unchanged and path.exists():
+            continue
         x, y = median_curve([r for r in records if r.s == s])
         with snapshot.staged(path) as tmp, open(tmp, "w", newline="") as fh:
             writer = csv.writer(fh)

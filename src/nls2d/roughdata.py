@@ -6,8 +6,8 @@ normalizes the L2 norm to ``target_l2``.  The resulting field lies in H^q
 for every q < s + eps and in no H^q with q > s + eps, so ``s`` is an honest
 smoothness dial (with eps of slack).
 
-Randomness is pinned to a fixed, platform-independent algorithm so equal
-seeds give bit-identical fields everywhere:
+Randomness is pinned to a fixed, platform-independent algorithm, so equal
+seeds give bit-identical draws everywhere:
 
 * stream generator: SplitMix64.  Draw i (0-based) for a 64-bit seed value
   is ``mix(seed + (i+1) * 0x9E3779B97F4A7C15 mod 2**64)`` where ``mix`` is
@@ -24,6 +24,11 @@ decay weight, and one ``l2_norm`` per slice.  :func:`generate` is its
 one-slice case.  The uint64 arithmetic and the scaling are elementwise, so
 each slice is bit for bit the datum of its seed drawn alone.
 :func:`uniform_block` gives the stream of one seed.
+
+The normalization is not pinned as tightly as the draws: ``l2_norm`` sums
+through ``np.vdot``, which a threaded BLAS may split across threads, so at
+large N the scale factor, and with it every coefficient, can differ in its
+last bits with the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralField, l2_norm, mode_ksq
+from .spectral import l2_norm, mode_ksq
 
 __all__ = ["RoughDataSpec", "uniform_block", "generate", "generate_stack"]
 
@@ -106,13 +111,14 @@ def _decayed(draws: np.ndarray, spec: RoughDataSpec) -> np.ndarray:
     return (1.0 + mode_ksq(n)) ** (-(spec.s + 1.0 + spec.eps) / 2.0) * g
 
 
-def generate(spec: RoughDataSpec) -> SpectralField:
-    """Build the datum described by ``spec``: the one-slice :func:`generate_stack`.
+def generate(spec: RoughDataSpec) -> np.ndarray:
+    """The (N, N) datum described by ``spec``: the one-slice :func:`generate_stack`.
 
-    Deterministic: equal specs give bit-identical coefficient arrays.  The
-    normalization is exact up to one rounding of the scale factor.
+    Deterministic: equal specs give bit-identical coefficient arrays under
+    one BLAS thread count.  The normalization is exact up to one rounding
+    of the scale factor.
     """
-    return SpectralField(spec.n_modes, generate_stack(spec, 1)[0])
+    return generate_stack(spec, 1)[0]
 
 
 def generate_stack(spec: RoughDataSpec, count: int) -> np.ndarray:
@@ -136,7 +142,7 @@ def generate_stack(spec: RoughDataSpec, count: int) -> np.ndarray:
     out = np.empty_like(raw)
     for m, c in enumerate(raw):
         seed = spec.seed + m
-        while (norm := l2_norm(SpectralField(n, c))) == 0.0:
+        while (norm := l2_norm(c)) == 0.0:
             logger.warning("all draws zero for seed %d; retrying with seed %d", seed, seed + 1)
             seed += 1
             c = draw([seed])[0]

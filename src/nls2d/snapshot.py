@@ -1,4 +1,4 @@
-"""Binary snapshot format for spectral fields.
+"""Binary snapshot format for one (N, N) coefficient array.
 
 Layout (all integers little-endian):
 
@@ -23,9 +23,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .spectral import SpectralField
+from .spectral import NonFiniteFieldError
 
-__all__ = ["MAGIC", "FORMAT_VERSION", "save_field", "load_field", "staged"]
+__all__ = ["MAGIC", "FORMAT_VERSION", "save_field", "load_field", "decode_field", "staged"]
 
 MAGIC = b"NLS2"
 FORMAT_VERSION = 1
@@ -47,34 +47,40 @@ def staged(path: Path) -> Iterator[Path]:
         tmp.unlink(missing_ok=True)
 
 
-def save_field(f: SpectralField, path: str | Path) -> None:
-    """Write a spectral field to ``path`` in the snapshot format."""
-    payload = np.ascontiguousarray(f.coeffs, dtype="<c16").tobytes()
+def save_field(coeffs: np.ndarray, path: str | Path) -> None:
+    """Write one (N, N) coefficient array to ``path`` in the snapshot format."""
+    payload = np.ascontiguousarray(coeffs, dtype="<c16").tobytes()
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, f.n_modes))
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, coeffs.shape[-1]))
         fh.write(payload)
 
 
-def load_field(path: str | Path) -> SpectralField:
-    """Read a spectral field written by :func:`save_field`.
+def load_field(path: str | Path) -> np.ndarray:
+    """Read the (N, N) array written by :func:`save_field`; see :func:`decode_field`."""
+    return decode_field(Path(path).read_bytes(), path)
 
-    Raises ValueError on wrong magic, unsupported version, or truncated
-    payload; propagates OSError on I/O failure.
+
+def decode_field(blob: bytes, source: str | Path) -> np.ndarray:
+    """The (N, N) array held by the snapshot bytes ``blob``, read from ``source``.
+
+    Raises ValueError naming ``source`` on a bad header, odd or too small N,
+    or a payload of the wrong length; NonFiniteFieldError on NaN or Inf.
     """
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise ValueError(f"{path}: truncated snapshot header")
-        magic, version, n = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        if version != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported format version {version}")
-        payload = fh.read()
-    expected = 16 * n * n
-    if len(payload) != expected:
+    if len(blob) < _HEADER.size:
+        raise ValueError(f"{source}: truncated snapshot header")
+    magic, version, n = _HEADER.unpack_from(blob)
+    if magic != MAGIC:
+        raise ValueError(f"{source}: bad magic {magic!r}, expected {MAGIC!r}")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"{source}: unsupported format version {version}")
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"{source}: lattice size must be an even integer >= 2, got {n}")
+    payload = memoryview(blob)[_HEADER.size:]
+    if len(payload) != 16 * n * n:
         raise ValueError(
-            f"{path}: payload holds {len(payload)} bytes, expected {expected} for N={n}"
+            f"{source}: payload holds {len(payload)} bytes, expected {16 * n * n} for N={n}"
         )
-    coeffs = np.frombuffer(payload, dtype="<c16").reshape(n, n)
-    return SpectralField(int(n), coeffs.astype(np.complex128))
+    coeffs = np.frombuffer(payload, dtype="<c16").reshape(n, n).astype(np.complex128)
+    if not np.isfinite(coeffs).all():
+        raise NonFiniteFieldError(f"{source}: snapshot holds non-finite coefficients")
+    return coeffs

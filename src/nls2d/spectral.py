@@ -1,11 +1,14 @@
-"""Spectral fields on the 2D torus and the operations connecting them.
+"""Fourier coefficient arrays on the 2D torus and the operations connecting them.
 
 Conventions used throughout the package:
 
-* A spectral field stores the coefficients ``c[k1, k2]`` of the expansion
-  ``u(x) = sum_k c_k exp(i<k, x>)`` over the centered integer lattice
-  ``k1, k2 in [-N/2, N/2 - 1]``.  Arrays are indexed in natural (ascending)
-  mode order, row-major: ``coeffs[i, j]`` holds ``k = (i - N/2, j - N/2)``.
+* A field is a complex (N, N) array of the coefficients ``c[k1, k2]`` of
+  the expansion ``u(x) = sum_k c_k exp(i<k, x>)`` over the centered integer
+  lattice ``k1, k2 in [-N/2, N/2 - 1]``, N even and >= 2.  Arrays are
+  indexed in natural (ascending) mode order, row-major: ``coeffs[i, j]``
+  holds ``k = (i - N/2, j - N/2)``.  N is read from ``shape[-1]``, and
+  leading axes, where a function allows them, stack fields that it treats
+  slice by slice, each bit for bit as alone.
 * Grid values are a plain complex (N, N) array of samples at the uniform
   collocation nodes ``x_{jl} = (2*pi*j/N, 2*pi*l/N)`` with
   ``j, l in [-N/2, N/2 - 1]``, again in ascending index order.
@@ -15,25 +18,27 @@ Conventions used throughout the package:
   a single unit coefficient at ``k``.
 * ``l2_norm`` is the true L2(T^2) norm, ``(4*pi^2 * sum |c_k|^2)**0.5``; a
   one-mode field with coefficient ``a`` has norm ``2*pi*|a|``.
+
+Values are checked where they enter from outside the program: grid samples
+in :func:`dft_forward` and :func:`l2h_norm`, snapshot files in
+:func:`nls2d.snapshot.load_field`.  Arrays the program computes itself are
+not checked again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "NonFiniteFieldError",
-    "SpectralField",
     "mode_values",
     "mode_ksq",
     "free_phase",
     "dft_forward",
     "synthesize",
     "project",
-    "project_array",
     "window_mask",
     "restrict",
     "l2_norm",
@@ -43,37 +48,17 @@ __all__ = [
 
 
 class NonFiniteFieldError(ValueError):
-    """Raised when a field would store NaN or Inf values."""
+    """Raised when a field from outside the program holds NaN or Inf values."""
 
 
-def _validate_square(arr: np.ndarray, n: int, what: str, lead: tuple[int, ...] = ()) -> None:
+def _validate_square(arr: np.ndarray, what: str, lead: tuple[int, ...] = ()) -> None:
+    n = arr.shape[-1] if arr.ndim else 0
     if n < 2 or n % 2 != 0:
         raise ValueError(f"{what} size must be an even integer >= 2, got {n}")
     if arr.shape != (*lead, n, n):
         raise ValueError(f"{what} array must have shape {(*lead, n, n)}, got {arr.shape}")
-    if not np.isfinite(arr.real).all() or not np.isfinite(arr.imag).all():
+    if not np.isfinite(arr).all():
         raise NonFiniteFieldError(f"{what} contains non-finite values")
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Coefficients of a band-limited field on the centered mode lattice.
-
-    Attributes
-    ----------
-    n_modes : int
-        Lattice size N (even, >= 2); modes run over [-N/2, N/2 - 1]^2.
-    coeffs : np.ndarray
-        Complex (N, N) array, natural mode order, row-major.
-    """
-
-    n_modes: int
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=np.complex128)
-        _validate_square(arr, self.n_modes, "coefficient")
-        object.__setattr__(self, "coeffs", arr)
 
 
 def mode_values(n: int) -> np.ndarray:
@@ -100,7 +85,7 @@ def free_phase(n: int, t: float) -> np.ndarray:
     return phase
 
 
-def dft_forward(values: np.ndarray) -> SpectralField:
+def dft_forward(values: np.ndarray) -> np.ndarray:
     """Forward transform of grid samples to interpolant coefficients.
 
     Computes ``sum_{j,l} v_{jl} exp(-2*pi*i*(k1*j + k2*l)/N) / N**2`` for
@@ -116,55 +101,52 @@ def dft_forward(values: np.ndarray) -> SpectralField:
 
     Returns
     -------
-    SpectralField
-        Interpolant coefficients on the same lattice size.
+    np.ndarray
+        The (N, N) interpolant coefficients.
     """
     values = np.asarray(values, dtype=np.complex128)
+    _validate_square(values, "grid value")
     n = len(values)
-    _validate_square(values, n, "grid value")
-    raw = np.fft.fft2(np.fft.ifftshift(values))
-    return SpectralField(n, np.fft.fftshift(raw) / (n * n))
+    return np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(values))) / (n * n)
 
 
-def synthesize(f: SpectralField, n_points: int | None = None) -> np.ndarray:
-    """Evaluate a spectral field on a collocation grid.
+def synthesize(coeffs: np.ndarray, n_points: int | None = None) -> np.ndarray:
+    """Evaluate (..., N, N) coefficients on a collocation grid, slice by slice.
 
     Parameters
     ----------
-    f : SpectralField
-        Field to evaluate.
+    coeffs : np.ndarray
+        Coefficients to evaluate.
     n_points : int, optional
-        Target grid size M >= n_modes, even.  Defaults to n_modes.
-        Evaluation on a finer grid zero-pads the coefficients, which leaves
-        the represented function (and its norms) unchanged.
+        Target grid size M >= N, even.  Defaults to N.  Evaluation on a
+        finer grid zero-pads the coefficients, which leaves the represented
+        function (and its norms) unchanged.
 
     Returns
     -------
     np.ndarray
-        Complex (M, M) values ``u(x_{jl})`` on the grid.
+        Complex (..., M, M) values ``u(x_{jl})`` on the grid.
     """
-    n = f.n_modes
+    n = coeffs.shape[-1]
     m = n if n_points is None else n_points
     if m < n:
         raise ValueError(f"target grid {m} is coarser than the mode lattice {n}")
     if m % 2 != 0:
         raise ValueError(f"target grid size must be even, got {m}")
-    return np.fft.fftshift(np.fft.ifft2(_fft_slots(f.coeffs, m))) * (m * m)
-
-
-def _fft_slots(coeffs: np.ndarray, m: int) -> np.ndarray:
-    # A new zeroed (..., m, m) array with mode k in slot k mod m: the
-    # ifftshift of the zero-padded array, built without padding or rolling.
-    h = coeffs.shape[-1] // 2
+    # Mode k goes to slot k mod m: the ifftshift of the zero-padded array,
+    # built without padding or rolling.
+    h = n // 2
     c = np.zeros((*coeffs.shape[:-2], m, m), dtype=np.complex128)
     c[..., :h, :h] = coeffs[..., h:, h:]
     c[..., :h, m - h:] = coeffs[..., h:, :h]
     c[..., m - h:, :h] = coeffs[..., :h, h:]
     c[..., m - h:, m - h:] = coeffs[..., :h, :h]
-    return c
+    np.fft.ifftn(c, axes=(-2, -1), out=c)
+    c *= m * m
+    return np.fft.fftshift(c, axes=(-2, -1))
 
 
-def project(f: SpectralField, theta: float) -> SpectralField:
+def project(coeffs: np.ndarray, theta: float) -> np.ndarray:
     """Zero all coefficients outside the square frequency window of theta.
 
     Keeps the coefficient at k iff ``-cutoff <= ki < cutoff`` holds for
@@ -172,13 +154,9 @@ def project(f: SpectralField, theta: float) -> SpectralField:
     comparison is a strict floating-point comparison against the integer
     mode values; theta = 4/N^2 gives cutoff = N/2 exactly, so the filter is
     then the identity on an N-mode lattice.  Orthogonal projection:
-    idempotent, self-adjoint, norm non-increasing.
+    idempotent, self-adjoint, norm non-increasing.  Applies over the last
+    two axes of a (..., N, N) array and returns a new array.
     """
-    return SpectralField(f.n_modes, project_array(f.coeffs, theta))
-
-
-def project_array(coeffs: np.ndarray, theta: float) -> np.ndarray:
-    """:func:`project` over the last two axes of a (..., N, N) coefficient array."""
     keep = window_mask(coeffs.shape[-1], theta)
     return np.where(keep[:, None] & keep[None, :], coeffs, 0.0)
 
@@ -192,35 +170,37 @@ def window_mask(n: int, theta: float) -> np.ndarray:
     return (k >= -cutoff) & (k < cutoff)
 
 
-def restrict(f: SpectralField, n_modes: int) -> SpectralField:
-    """Keep the central block of modes; inverse of zero padding there.
+def restrict(coeffs: np.ndarray, n_modes: int) -> np.ndarray:
+    """Keep the central n_modes block of each slice; inverse of zero padding there.
 
     Coefficients outside [-n/2, n/2 - 1]^2 are dropped, so apply a frequency
-    projection first when the truncation must be lossless.
+    projection first when the truncation must be lossless.  Returns a new
+    (..., n, n) array.
     """
-    n, m = n_modes, f.n_modes
+    n, m = n_modes, coeffs.shape[-1]
     if n > m:
         raise ValueError(f"cannot restrict lattice {m} to larger lattice {n}")
     if n % 2 != 0 or n < 2:
         raise ValueError(f"target lattice size must be an even integer >= 2, got {n}")
     lo = m // 2 - n // 2
-    return SpectralField(n, f.coeffs[lo : lo + n, lo : lo + n].copy())
+    return coeffs[..., lo : lo + n, lo : lo + n].copy()
 
 
-def l2_norm(f: SpectralField) -> float:
-    """L2(T^2) norm, ``(4*pi^2 * sum_k |c_k|^2)**0.5``."""
-    return 2.0 * np.pi * float(np.sqrt(np.vdot(f.coeffs, f.coeffs).real))
+def l2_norm(coeffs: np.ndarray) -> float:
+    """L2(T^2) norm of one field, ``(4*pi^2 * sum_k |c_k|^2)**0.5``."""
+    return 2.0 * np.pi * float(np.sqrt(np.vdot(coeffs, coeffs).real))
 
 
-def sobolev_norm(f: SpectralField, s: float) -> float:
-    """Sobolev H^s norm with weights ``(1 + |k|^2)**s`` on ``|c_k|^2``.
+def sobolev_norm(coeffs: np.ndarray, s: float):
+    """Sobolev H^s norm with weights ``(1 + |k|^2)**s`` on ``|c_k|^2``, slice by slice.
 
     Reduces to :func:`l2_norm` at s = 0; a one-mode field with coefficient
-    a at k has norm ``2*pi*|a|*(1 + |k|^2)**(s/2)``.
+    a at k has norm ``2*pi*|a|*(1 + |k|^2)**(s/2)``.  A float for one
+    (N, N) field, an array of the leading shape for a stack.
     """
-    ksq = mode_ksq(f.n_modes)
-    total = float(np.sum((1.0 + ksq) ** s * (f.coeffs.real**2 + f.coeffs.imag**2)))
-    return 2.0 * np.pi * float(np.sqrt(total))
+    x = (1.0 + mode_ksq(coeffs.shape[-1])) ** s * (coeffs.real**2 + coeffs.imag**2)
+    norms = 2.0 * np.pi * np.sqrt(np.sum(x.reshape(*x.shape[:-2], -1), axis=-1))
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def l2h_norm(values: np.ndarray) -> float:
@@ -231,5 +211,5 @@ def l2h_norm(values: np.ndarray) -> float:
     of the L2 norm, exact for band-limited fields sampled without aliasing.
     """
     values = np.asarray(values, dtype=np.complex128)
-    _validate_square(values, len(values), "grid value")
+    _validate_square(values, "grid value")
     return float(np.sqrt(np.vdot(values, values).real)) / len(values)

@@ -8,7 +8,7 @@ products back onto the mode lattice; no dealiasing is applied anywhere, and
 the filter width is controlled by ``theta`` alone.  :func:`evolve` filters
 the datum once and runs the steps as one loop over a (..., N, N)
 coefficient array, which may hold a stack of data; it takes and returns
-arrays only, and its callers wrap fields around them.
+arrays only, like every function of :mod:`nls2d.spectral`.
 Its free-flow phase is :func:`nls2d.spectral.free_phase`, shared with ``bourgain``.
 
 The state after every step is invariant under the filter, and the discrete
@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import free_phase, project_array
+from .spectral import free_phase, project
 
 __all__ = [
     "SCHEME_VERSION",
@@ -145,8 +145,8 @@ def evolve(
     if coeffs.shape[-2:] != (n, n):
         raise ValueError(f"field lattice {coeffs.shape[-1]} does not match params.n_modes {n}")
     theta = params.theta
-    c = np.fft.ifftshift(project_array(coeffs, theta), axes=(-2, -1))
-    prop = np.fft.ifftshift(project_array(free_phase(n, params.tau), theta))
+    c = np.fft.ifftshift(project(coeffs, theta), axes=(-2, -1))
+    prop = np.fft.ifftshift(project(free_phase(n, params.tau), theta))
     angle = np.empty(c.shape)
     phase = np.empty_like(c)
     blowup = np.full(c.shape[:-2], -1)

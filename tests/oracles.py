@@ -1,25 +1,26 @@
 """Independent slow-path oracles used across the test suite.
 
+Fields are plain (N, N) coefficient arrays, as in the package.
 Everything here except :func:`free_flow`, :func:`embed`,
 :func:`evolve_field`, :func:`composed_lie_step`,
 :func:`embedded_l2_error`, :func:`twisted_bourgain_norm` and the
 ``snapshot_*`` functions is written against the documented definitions
 with direct summation only: no FFT, no shared code paths with the package
-internals beyond the field containers.
+internals.
 
 Those are built from the package's single-field functions instead
 (``snapshot_ensemble`` also reuses the private ``bourgain._envelope``).
 :func:`free_flow` and :func:`embed` are the single-field free propagator
 and zero padding, which only the tests use;
 :func:`evolve_field` runs ``evolve`` on one field and raises
-``BlowupError`` as the field-level callers do.
+``BlowupError`` as ``compute_reference`` and ``nls2d run`` do.
 :func:`composed_lie_step` composes the filtered Lie step stage by stage, as
 the scheme is written down, to check the fused loop in ``evolve``;
 :func:`embedded_l2_error` is the study's error measure through ``embed``,
 to check ``harness.l2_error``;
 :func:`twisted_bourgain_norm` is an equivalent form of ``bourgain_norm``
 used to cross-check it.  The ``snapshot_*`` functions evaluate the
-trajectory functionals one ``SpectralField`` at a time, straight from the
+trajectory functionals one (N, N) snapshot at a time, straight from the
 single-field definitions; the stacked code in ``bourgain`` must reproduce
 them bit for bit.
 """
@@ -30,9 +31,7 @@ import numpy as np
 
 from nls2d.bourgain import ProbeRow, Trajectory, _envelope, bourgain_norm, time_space_transform
 from nls2d.roughdata import RoughDataSpec, generate
-from nls2d.spectral import (
-    SpectralField, dft_forward, free_phase, l2_norm, project, sobolev_norm, synthesize,
-)
+from nls2d.spectral import dft_forward, free_phase, l2_norm, project, sobolev_norm, synthesize
 from nls2d.splitting import BlowupError, SchemeParams, evolve
 
 
@@ -68,10 +67,10 @@ def quadrature_l2(values: np.ndarray) -> float:
     return float(np.sqrt(cell * np.sum(np.abs(values) ** 2)))
 
 
-def plane_wave(n: int, amplitude: complex, k: tuple[int, int]) -> SpectralField:
+def plane_wave(n: int, amplitude: complex, k: tuple[int, int]) -> np.ndarray:
     coeffs = np.zeros((n, n), dtype=np.complex128)
     coeffs[n // 2 + k[0], n // 2 + k[1]] = amplitude
-    return SpectralField(n, coeffs)
+    return coeffs
 
 
 def plane_wave_solution(amplitude: complex, k: tuple[int, int], mu: int, t: float) -> complex:
@@ -90,45 +89,41 @@ def nonlinear_phase(v: np.ndarray, tau: float, mu: int) -> np.ndarray:
     return np.exp(1j * (mu * tau) * absq) * v
 
 
-def free_flow(f: SpectralField, t: float) -> SpectralField:
+def free_flow(f: np.ndarray, t: float) -> np.ndarray:
     """Exact free propagator over time t: the coefficient at k times ``exp(-i*t*|k|^2)``."""
-    return SpectralField(f.n_modes, f.coeffs * free_phase(f.n_modes, t))
+    return f * free_phase(f.shape[-1], t)
 
 
-def embed(f: SpectralField, n_modes: int) -> SpectralField:
+def embed(f: np.ndarray, n_modes: int) -> np.ndarray:
     """Zero-pad onto a larger mode lattice; the represented field is unchanged."""
-    n, m = f.n_modes, n_modes
+    n, m = f.shape[-1], n_modes
     if m < n:
         raise ValueError(f"cannot embed lattice {n} into smaller lattice {m}")
     if m % 2 != 0:
         raise ValueError(f"target lattice size must be even, got {m}")
     out = np.zeros((m, m), dtype=np.complex128)
     lo = (m - n) // 2
-    out[lo : m - lo, lo : m - lo] = f.coeffs
-    return SpectralField(m, out)
+    out[lo : m - lo, lo : m - lo] = f
+    return out
 
 
-def evolve_field(u0: SpectralField, params: SchemeParams, observer=None, observer_every=1):
-    """``evolve`` on one field: the observer sees fields, and a blow-up raises."""
-    n = u0.n_modes
-    wrapped = None if observer is None else (
-        lambda step, c: observer(step, SpectralField(n, c)))
-    final, blowup = evolve(u0.coeffs, params, observer=wrapped, observer_every=observer_every)
+def evolve_field(u0: np.ndarray, params: SchemeParams, observer=None, observer_every=1):
+    """``evolve`` on one field, raising on a blow-up; returns the final field."""
+    final, blowup = evolve(u0, params, observer=observer, observer_every=observer_every)
     if blowup >= 0:
         raise BlowupError(int(blowup))
-    return SpectralField(n, final)
+    return final
 
 
-def composed_lie_step(f: SpectralField, params: SchemeParams) -> SpectralField:
+def composed_lie_step(f: np.ndarray, params: SchemeParams) -> np.ndarray:
     """One filtered Lie step: filter, grid nonlinearity, interpolate, filter, free flow."""
     w = nonlinear_phase(synthesize(project(f, params.theta)), params.tau, params.mu)
     return free_flow(project(dft_forward(w), params.theta), params.tau)
 
 
-def embedded_l2_error(coarse: SpectralField, reference: SpectralField) -> float:
+def embedded_l2_error(coarse: np.ndarray, reference: np.ndarray) -> float:
     """L2 distance of the coarse field zero-padded by ``embed`` onto the reference lattice."""
-    wide = embed(coarse, reference.n_modes)
-    return l2_norm(SpectralField(reference.n_modes, wide.coeffs - reference.coeffs))
+    return l2_norm(embed(coarse, reference.shape[-1]) - reference)
 
 
 def brute_force_bourgain_norm(tr, s: float, b: float) -> float:
@@ -162,9 +157,7 @@ def twisted_bourgain_norm(tr: Trajectory, s: float, b: float) -> float:
     b = 0.
     """
     tau = tr.tau
-    twisted = Trajectory(tau, np.stack([
-        free_flow(f, -m * tau).coeffs for m, f in enumerate(snapshot_fields(tr))
-    ]))
+    twisted = Trajectory(tau, np.stack([free_flow(f, -m * tau) for m, f in enumerate(tr.coeffs)]))
     values = time_space_transform(twisted)
     m = len(tr)
     sigmas = 2.0 * np.pi * np.arange(-(m // 2), m - m // 2) / (m * tau)
@@ -174,11 +167,6 @@ def twisted_bourgain_norm(tr: Trajectory, s: float, b: float) -> float:
     weight = (1.0 + ksq[None, :, :]) ** s * (1.0 + dsq[:, None, None]) ** b
     dsigma = 2.0 * np.pi / (m * tau)
     return float(np.sqrt(2.0 * np.pi * dsigma * np.sum(weight * np.abs(values) ** 2)))
-
-
-def snapshot_fields(tr: Trajectory) -> list[SpectralField]:
-    """The snapshots of a trajectory as separate validated fields."""
-    return [SpectralField(tr.n_modes, c) for c in tr.coeffs]
 
 
 def snapshot_ensemble(count: int, tau: float, n_modes: int, window: int, seed0: int = 0):
@@ -192,21 +180,20 @@ def snapshot_ensemble(count: int, tau: float, n_modes: int, window: int, seed0: 
         else:
             v = generate(RoughDataSpec(s=1.0, seed=base, n_modes=n_modes))
             env = _envelope(base + 7, window)
-            fields = [SpectralField(n_modes, env[m] * free_flow(v, m * tau).coeffs)
-                      for m in range(window)]
-        yield seed, Trajectory(tau, np.stack([f.coeffs for f in fields]))
+            fields = [env[m] * free_flow(v, m * tau) for m in range(window)]
+        yield seed, Trajectory(tau, np.stack(fields))
 
 
 def snapshot_sup_sobolev(tr: Trajectory, s: float) -> float:
     """The largest ``sobolev_norm`` over the snapshots."""
-    return max(sobolev_norm(f, s) for f in snapshot_fields(tr))
+    return max(sobolev_norm(f, s) for f in tr.coeffs)
 
 
 def snapshot_l4(tr: Trajectory) -> float:
     """l4-in-time L4 norm: doubled-grid ``synthesize`` quadrature per snapshot."""
     total = 0.0
-    for f in snapshot_fields(tr):
-        g = synthesize(f, 2 * f.n_modes)
+    for f in tr.coeffs:
+        g = synthesize(f, 2 * len(f))
         v = g.real**2 + g.imag**2
         cell = (2.0 * np.pi / len(g)) ** 2
         total += cell * float(np.sum(v * v))
@@ -215,7 +202,7 @@ def snapshot_l4(tr: Trajectory) -> float:
 
 def snapshot_project(tr: Trajectory, theta: float) -> Trajectory:
     """The trajectory with ``project`` applied to each snapshot."""
-    return Trajectory(tr.tau, np.stack([project(f, theta).coeffs for f in snapshot_fields(tr)]))
+    return Trajectory(tr.tau, np.stack([project(f, theta) for f in tr.coeffs]))
 
 
 def snapshot_probe_rows(trajectories, estimate_id: str, s: float = 1.0, b: float = 0.6):

@@ -30,7 +30,6 @@ from nls2d.harness import (
 )
 from nls2d.roughdata import RoughDataSpec, generate
 from nls2d.spectral import (
-    SpectralField,
     dft_forward,
     l2_norm,
     l2h_norm,
@@ -65,8 +64,8 @@ def _random_grid(n: int) -> np.ndarray:
     return RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n))
 
 
-def _random_field(n: int) -> SpectralField:
-    return SpectralField(n, _random_grid(n))
+def _random_field(n: int) -> np.ndarray:
+    return _random_grid(n)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +78,7 @@ def test_criterion_01_transform_matches_direct_sum():
         for n in (4, 8, 16):
             for _ in range(50):
                 values = _random_grid(n)
-                fast = dft_forward(values).coeffs
+                fast = dft_forward(values)
                 slow = naive_dft(values, n)
                 worst = max(worst, float(np.abs(fast - slow).max()))
         info["max_abs_dev"] = f"{worst:.3e}"
@@ -92,7 +91,7 @@ def test_criterion_02_discrete_parseval():
         for n in (8, 64):
             for _ in range(100):
                 grid = _random_grid(n)
-                lhs = n * n * float(np.sqrt(np.sum(np.abs(dft_forward(grid).coeffs) ** 2)))
+                lhs = n * n * float(np.sqrt(np.sum(np.abs(dft_forward(grid)) ** 2)))
                 rhs = n * n * l2h_norm(grid)
                 worst = max(worst, abs(lhs - rhs) / rhs)
         info["max_rel_dev"] = f"{worst:.3e}"
@@ -109,7 +108,7 @@ def test_criterion_03_interpolation_fixes_filtered_fields():
                 for _ in range(10):
                     filtered = project(_random_field(n), theta)
                     back = dft_forward(synthesize(filtered))
-                    worst = max(worst, float(np.abs(back.coeffs - filtered.coeffs).max()))
+                    worst = max(worst, float(np.abs(back - filtered).max()))
         info["max_abs_dev"] = f"{worst:.3e}"
         assert worst <= 1e-13
 
@@ -125,7 +124,7 @@ def test_criterion_04_plane_wave_exactness():
         params = SchemeParams(tau=tau, n_modes=32, mu=-1, t_final=tau * steps)
         final = evolve_field(u0, params)
         exact = plane_wave(32, plane_wave_solution(0.1, (1, 2), -1, tau * steps), (1, 2))
-        err = l2_norm(SpectralField(32, final.coeffs - exact.coeffs))
+        err = l2_norm(final - exact)
         info["l2_err"] = f"{err:.3e}"
         assert err <= 1e-10
 
@@ -254,7 +253,7 @@ def test_criterion_08_spacetime_norm_reductions():
         worst_flat = worst_hom = 0.0
         lo, hi_s, hi_b = (0.5, 0.25), (1.5, 0.25), (0.5, 0.75)
         for _ in range(100):
-            tr = Trajectory(0.25, np.stack([_random_field(8).coeffs for _ in range(6)]))
+            tr = Trajectory(0.25, np.stack([_random_field(8) for _ in range(6)]))
             flat = bourgain_norm(tr, 0.0, 0.0)
             worst_flat = max(worst_flat, abs(flat - trajectory_l2(tr)) / trajectory_l2(tr))
             base = bourgain_norm(tr, *lo)

@@ -21,15 +21,13 @@ from nls2d.bourgain import (
     write_probe_report,
 )
 from nls2d.roughdata import RoughDataSpec, generate
-from nls2d.spectral import (NonFiniteFieldError, l2_norm, project_array, sobolev_norm,
-                            window_mask)
+from nls2d.spectral import NonFiniteFieldError, l2_norm, project, sobolev_norm, window_mask
 
 from oracles import (
     brute_force_bourgain_norm,
     free_flow,
     plane_wave,
     snapshot_ensemble,
-    snapshot_fields,
     snapshot_l4,
     snapshot_probe_rows,
     snapshot_project,
@@ -54,7 +52,7 @@ def zero_padded(tr: Trajectory, window: int) -> Trajectory:
 
 class TestContainers:
     def test_trajectory_validation(self):
-        c = plane_wave(4, 1.0, (1, 0)).coeffs
+        c = plane_wave(4, 1.0, (1, 0))
         for tau in (0.0, float("nan")):
             with pytest.raises(ValueError, match="tau"):
                 Trajectory(tau, c[None])
@@ -84,10 +82,10 @@ class TestTransform:
     def test_single_snapshot_is_constant_in_sigma(self):
         """One snapshot transforms to tau * c_0 at every sigma sample."""
         f = plane_wave(8, 0.3 + 0.4j, (2, -1))
-        values = time_space_transform(zero_padded(Trajectory(0.125, f.coeffs[None]), 16))
+        values = time_space_transform(zero_padded(Trajectory(0.125, f[None]), 16))
         assert values.shape == (16, 8, 8)
         for row in values:
-            np.testing.assert_allclose(row, 0.125 * f.coeffs, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(row, 0.125 * f, rtol=0, atol=1e-15)
 
     def test_sigma_grid(self):
         step = 2.0 * np.pi / (8 * 0.25)
@@ -178,7 +176,7 @@ class TestTwistedForm:
         the multiplier form; both are finite and positive."""
         tau, n, m = 0.125, 8, 16
         u0 = generate(RoughDataSpec(s=1.0, seed=11, n_modes=n))
-        tr = Trajectory(tau, np.stack([free_flow(u0, i * tau).coeffs for i in range(m)]))
+        tr = Trajectory(tau, np.stack([free_flow(u0, i * tau) for i in range(m)]))
         plain = bourgain_norm(tr, 1.0, 0.75)
         twisted = twisted_bourgain_norm(tr, 1.0, 0.75)
         assert np.isfinite(plain) and plain > 0.0
@@ -188,20 +186,20 @@ class TestTwistedForm:
 
 class TestTrajectoryFunctionals:
     def test_l2_single_plane_wave(self):
-        tr = Trajectory(0.25, plane_wave(8, 0.5, (1, 1)).coeffs[None])
+        tr = Trajectory(0.25, plane_wave(8, 0.5, (1, 1))[None])
         want = np.sqrt(0.25) * 2.0 * np.pi * 0.5
         assert abs(trajectory_l2(tr) - want) <= 1e-14
 
     def test_sup_sobolev(self):
         small = plane_wave(8, 0.1, (1, 0))
         big = plane_wave(8, 1.0, (2, 2))
-        tr = Trajectory(0.5, np.stack([small.coeffs, big.coeffs]))
+        tr = Trajectory(0.5, np.stack([small, big]))
         assert trajectory_sup_sobolev(tr, 1.0) == sobolev_norm(big, 1.0)
 
     def test_l4_constant_field(self):
         """A spatially constant snapshot has |u|^4 integral (2 pi)^2 |a|^4."""
         a = 0.7
-        tr = Trajectory(0.5, plane_wave(8, a, (0, 0)).coeffs[None])
+        tr = Trajectory(0.5, plane_wave(8, a, (0, 0))[None])
         want = (0.5 * (2.0 * np.pi) ** 2 * a**4) ** 0.25
         assert abs(trajectory_l4(tr) - want) <= 1e-12 * want
 
@@ -252,7 +250,7 @@ class TestProbes:
             res.max_ratio
 
     def test_single_snapshot_trajectory_included(self):
-        tr = Trajectory(0.25, plane_wave(8, 0.3, (1, 1)).coeffs[None])
+        tr = Trajectory(0.25, plane_wave(8, 0.3, (1, 1))[None])
         for estimate_id in ESTIMATE_IDS:
             res, = estimate_probe([(5, tr)], (estimate_id,))
             assert res.skipped == 0 and len(res.rows) == 1
@@ -278,7 +276,7 @@ class TestProbes:
         trs = list(probe_ensemble(2, (0.25,), 8, window=6))
         res, = estimate_probe(trs, ("embedding_inf_Hs",), s=1.0, b=0.6)
         for row, (_, tr) in zip(res.rows, trs):
-            assert row.lhs == max(sobolev_norm(f, 1.0) for f in snapshot_fields(tr))
+            assert row.lhs == max(sobolev_norm(f, 1.0) for f in tr.coeffs)
 
     def test_tau_variation_small_ensemble(self):
         """Max ratios across a tau sweep stay within a factor 4 even on a
@@ -295,7 +293,7 @@ class TestProbes:
         once and sums each (stack, theta-window) L4 once."""
         calls: dict[str, int] = {}
         for name in ("time_space_transform", "generate_stack", "generate", "free_phase",
-                     "trajectory_sup_sobolev", "_fft_slots"):
+                     "trajectory_sup_sobolev", "synthesize"):
             def counted(*args, _real=getattr(bourgain, name), _name=name, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _real(*args, **kwargs)
@@ -312,7 +310,7 @@ class TestProbes:
             "generate": 5,  # the five free-flow seeds
             "time_space_transform": 30,
             "trajectory_sup_sobolev": 5 + 15,  # rough seeds share one stack for all taus
-            "_fft_slots": 5 * 2 + 15,  # the L4 sums: one per (stack, window)
+            "synthesize": 5 * 2 + 15,  # the L4 sums: one per (stack, window)
         }
 
     def test_report_round_trip(self, tmp_path):
@@ -356,10 +354,10 @@ class TestStackMatchesSnapshots:
                 assert trajectory_sup_sobolev(tr, 1.0) == snapshot_sup_sobolev(tr, 1.0)
                 assert trajectory_l4(tr) == snapshot_l4(tr)
                 # one sum over the stack instead of a vdot per snapshot: a reordering
-                per_field = np.sqrt(tr.tau * sum(l2_norm(f) ** 2 for f in snapshot_fields(tr)))
+                per_field = np.sqrt(tr.tau * sum(l2_norm(f) ** 2 for f in tr.coeffs))
                 assert trajectory_l2(tr) == pytest.approx(per_field, rel=1e-13, abs=0.0)
                 filtered = snapshot_project(tr, tau)
-                assert np.array_equal(project_array(tr.coeffs, tau), filtered.coeffs)
+                assert np.array_equal(project(tr.coeffs, tau), filtered.coeffs)
                 truncated = np.count_nonzero(filtered.coeffs) < filtered.coeffs.size
                 assert truncated == (tau**-0.5 < n / 2)  # the filter bites at tau = 2^-4
             for estimate_id in ESTIMATE_IDS:

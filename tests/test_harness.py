@@ -32,7 +32,7 @@ from nls2d.harness import (
     sensitivity_configs,
 )
 from nls2d.roughdata import RoughDataSpec, generate
-from nls2d.spectral import SpectralField, project, restrict, synthesize
+from nls2d.spectral import project, restrict, synthesize
 from nls2d.splitting import BlowupError, SchemeParams, default_theta, evolve
 
 from oracles import (
@@ -134,26 +134,24 @@ class TestErrorMeasure:
     def test_single_extra_mode(self):
         """A lone high mode of amplitude a in the reference costs 2*pi*a."""
         coarse = plane_wave(8, 0.5, (1, 0))
-        reference = SpectralField(32, embed(coarse, 32).coeffs.copy())
-        reference.coeffs[32 // 2 + 10, 32 // 2 - 7] = 0.25
+        reference = embed(coarse, 32)
+        reference[32 // 2 + 10, 32 // 2 - 7] = 0.25
         assert abs(l2_error(coarse, reference) - 2.0 * np.pi * 0.25) <= 1e-13
 
     def test_quadrature_cross_check(self):
         """Coefficient-space distance equals grid quadrature of the
         difference sampled on a doubled lattice."""
-        coarse = SpectralField(8, RNG.standard_normal((8, 8)) + 1j * RNG.standard_normal((8, 8)))
-        reference = SpectralField(
-            16, RNG.standard_normal((16, 16)) + 1j * RNG.standard_normal((16, 16)))
-        diff = SpectralField(16, embed(coarse, 16).coeffs - reference.coeffs)
+        coarse = RNG.standard_normal((8, 8)) + 1j * RNG.standard_normal((8, 8))
+        reference = RNG.standard_normal((16, 16)) + 1j * RNG.standard_normal((16, 16))
+        diff = embed(coarse, 16) - reference
         want = quadrature_l2(synthesize(diff, 32))
         assert abs(l2_error(coarse, reference) - want) <= 1e-10 * want
 
     @pytest.mark.parametrize("n, m", [(8, 8), (8, 16), (6, 32)])
     def test_matches_embedding_oracle(self, n, m):
         """Bit for bit the norm of the zero-padded difference, equal lattices included."""
-        coarse = SpectralField(n, RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n)))
-        reference = SpectralField(
-            m, RNG.standard_normal((m, m)) + 1j * RNG.standard_normal((m, m)))
+        coarse = RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n))
+        reference = RNG.standard_normal((m, m)) + 1j * RNG.standard_normal((m, m))
         assert l2_error(coarse, reference) == embedded_l2_error(coarse, reference)
 
     def test_wrong_direction_rejected(self):
@@ -168,8 +166,8 @@ class TestErrorMeasure:
         for tau in (2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8):
             n = grid_for_tau(tau)
             p = SchemeParams(tau, n, -1, 4 * tau)
-            got, _ = evolve(restrict(datum, n).coeffs, p)
-            want, _ = evolve(restrict(project(datum, p.theta), n).coeffs, p)
+            got, _ = evolve(restrict(datum, n), p)
+            want, _ = evolve(restrict(project(datum, p.theta), n), p)
             assert np.array_equal(got, want)
 
 
@@ -181,7 +179,7 @@ class TestReference:
         datum = plane_wave(16, 0.1, (1, 2))
         got, _ = compute_reference(datum, 2.0**-6, 0.25, mu=-1)
         want = plane_wave_solution(0.1, (1, 2), -1, 0.25)
-        err = np.abs(got.coeffs - plane_wave(16, want, (1, 2)).coeffs).max()
+        err = np.abs(got - plane_wave(16, want, (1, 2))).max()
         assert err <= 1e-10
 
     def test_cache_round_trip_and_no_recompute(self, tmp_path, monkeypatch):
@@ -191,8 +189,21 @@ class TestReference:
         monkeypatch.setattr(harness, "evolve", lambda *a, **k: calls.append(1) or real(*a, **k))
         second, again = compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
         assert calls == []
-        assert np.array_equal(first.coeffs, second.coeffs)
+        assert np.array_equal(first, second)
         assert again == path and path.exists()
+
+    def test_cache_hit_parses_the_hashed_bytes(self, tmp_path, monkeypatch):
+        """A hit decodes the one read whose sha256 it checked; it reads no file again."""
+        first, _ = compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
+
+        def no_second_read(*args, **kwargs):
+            raise AssertionError("a cache hit must not read the payload twice")
+
+        monkeypatch.setattr(snapshot, "load_field", no_second_read)
+        monkeypatch.setattr(harness, "evolve",
+                            lambda *a, **k: pytest.fail("a cache hit must not recompute"))
+        second, _ = compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
+        assert np.array_equal(first, second)
 
     def test_corrupt_payload_recomputed(self, tmp_path, caplog):
         first, _ = compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
@@ -203,7 +214,7 @@ class TestReference:
         with caplog.at_level(logging.WARNING, logger="nls2d.harness"):
             second, _ = compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
         assert any("corrupt" in r.message for r in caplog.records)
-        assert np.array_equal(first.coeffs, second.coeffs)
+        assert np.array_equal(first, second)
 
     def test_foreign_key_recomputed(self, tmp_path, caplog):
         compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
@@ -322,14 +333,33 @@ class TestRunStudy:
                             lambda *a, **k: pytest.fail("resume must not re-evolve"))
         monkeypatch.setattr(harness, "generate",
                             lambda *a, **k: pytest.fail("resume must not regenerate data"))
-        inode = (cfg.output_dir / "records.csv").stat().st_ino
+        out = cfg.output_dir
+        names = ["records.csv", "study.json", *sorted(p.name for p in out.glob("plot_s*.csv"))]
+        assert names[2:] == ["plot_s2.csv"]
+        inodes = {name: (out / name).stat().st_ino for name in names}
         assert run_study(cfg) == records
-        assert (cfg.output_dir / "records.csv").stat().st_ino == inode
+        assert {name: (out / name).stat().st_ino for name in names} == inodes
+
+    def test_deleted_plot_file_written_back(self, mini_study, monkeypatch):
+        """A full resume writes a missing plot file back, and nothing else."""
+        cfg, records = mini_study
+        monkeypatch.setattr(harness, "evolve",
+                            lambda *a, **k: pytest.fail("resume must not re-evolve"))
+        out = cfg.output_dir
+        plot = out / "plot_s2.csv"
+        want = plot.read_bytes()
+        inodes = {name: (out / name).stat().st_ino for name in ("records.csv", "study.json")}
+        plot.unlink()
+        assert run_study(cfg) == records
+        assert plot.read_bytes() == want
+        assert {name: (out / name).stat().st_ino for name in inodes} == inodes
 
     def test_partial_resume_fills_only_gaps(self, mini_study, monkeypatch):
         cfg, records = mini_study
         gap = (2.0, 2.0**-5, 2)
         export([r for r in records if r.key != gap], cfg.output_dir)
+        plot = cfg.output_dir / "plot_s2.csv"
+        inode = plot.stat().st_ino
         stacks = []
         real = harness.evolve
         monkeypatch.setattr(harness, "evolve",
@@ -340,6 +370,7 @@ class TestRunStudy:
         redone = next(r for r in resumed if r.key == gap)
         original = next(r for r in records if r.key == gap)
         assert redone.l2_error == original.l2_error
+        assert plot.stat().st_ino != inode  # a stack of s = 2 ran, so its plot is rewritten
 
     def test_torn_last_row_recomputed(self, mini_study, monkeypatch):
         """A row cut short by a kill mid-write is dropped and redone alone."""

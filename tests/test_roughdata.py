@@ -66,12 +66,12 @@ class TestGenerate:
     def test_deterministic(self):
         """Equal specs produce bit-identical coefficient arrays."""
         spec = RoughDataSpec(s=0.7, seed=123, n_modes=32)
-        assert np.array_equal(generate(spec).coeffs, generate(spec).coeffs)
+        assert np.array_equal(generate(spec), generate(spec))
 
     def test_seeds_differ(self):
         a = generate(RoughDataSpec(s=1.0, seed=1, n_modes=16))
         b = generate(RoughDataSpec(s=1.0, seed=2, n_modes=16))
-        assert not np.array_equal(a.coeffs, b.coeffs)
+        assert not np.array_equal(a, b)
 
     def test_normalization_exact(self):
         """The L2 norm hits target_l2 to 1e-14 relative."""
@@ -91,7 +91,7 @@ class TestGenerate:
         ksq = k[:, None] ** 2 + k[None, :] ** 2
         raw = (1.0 + ksq) ** (-(spec.s + 1.0 + spec.eps) / 2.0) * g
         scale = spec.target_l2 / (2.0 * np.pi * np.sqrt(np.vdot(raw, raw).real))
-        assert np.array_equal(f.coeffs, raw * scale)
+        assert np.array_equal(f, raw * scale)
 
     def test_amplitudes_decay_with_frequency(self):
         """Mean modulus over a high-frequency annulus sits well below the
@@ -99,8 +99,8 @@ class TestGenerate:
         f = generate(RoughDataSpec(s=0.9, seed=4, n_modes=64))
         k = mode_values(64).astype(float)
         r = np.sqrt(k[:, None] ** 2 + k[None, :] ** 2)
-        low = np.abs(f.coeffs[r <= 4.0]).mean()
-        high = np.abs(f.coeffs[(r > 24.0) & (r <= 32.0)]).mean()
+        low = np.abs(f[r <= 4.0]).mean()
+        high = np.abs(f[(r > 24.0) & (r <= 32.0)]).mean()
         assert high < 0.05 * low
 
     def test_zero_draw_retry(self, monkeypatch, caplog):
@@ -120,7 +120,7 @@ class TestGenerate:
         assert calls == [50, 51]
         assert sum("retrying" in r.message for r in caplog.records) == 1
         monkeypatch.undo()
-        assert np.array_equal(f.coeffs, generate(RoughDataSpec(s=1.0, seed=51, n_modes=8)).coeffs)
+        assert np.array_equal(f, generate(RoughDataSpec(s=1.0, seed=51, n_modes=8)))
 
     @pytest.mark.parametrize("seed", [5, -3, 2**45 * 1_000_003, 2**64 - 2])
     def test_stack_matches_generate(self, seed):
@@ -131,7 +131,7 @@ class TestGenerate:
         assert stack.shape == (5, 8, 8)
         for m, c in enumerate(stack):
             want = generate(RoughDataSpec(s=0.8, seed=seed + m, n_modes=8, target_l2=2.5))
-            assert np.array_equal(c, want.coeffs)
+            assert np.array_equal(c, want)
 
     def test_stack_zero_draw_retry(self, monkeypatch, caplog):
         """An all-zero slice of the batched draw alone gets its seed bumped."""
@@ -149,7 +149,7 @@ class TestGenerate:
             "all draws zero for seed 52; retrying with seed 53"]
         monkeypatch.undo()
         for m, seed in enumerate((50, 51, 53, 53)):
-            want = generate(RoughDataSpec(s=1.0, seed=seed, n_modes=8)).coeffs
+            want = generate(RoughDataSpec(s=1.0, seed=seed, n_modes=8))
             assert np.array_equal(stack[m], want)
 
     def test_tail_decay_rate(self):
@@ -166,7 +166,7 @@ class TestGenerate:
         slopes = []
         for seed in range(1, 7):
             f = generate(RoughDataSpec(s=s, seed=seed, n_modes=n, eps=eps))
-            weighted = (1.0 + ksq) ** sigma * np.abs(f.coeffs) ** 2
+            weighted = (1.0 + ksq) ** sigma * np.abs(f) ** 2
             tails = [weighted[np.sqrt(ksq) > r].sum() for r in radii]
             slopes.append(np.polyfit(np.log(radii), np.log(tails), 1)[0])
         theory = 2.0 * (sigma - s) - 2.0 * eps

@@ -12,7 +12,6 @@ import pytest
 
 import nls2d
 from nls2d.spectral import (
-    SpectralField,
     l2_norm,
     project,
     synthesize,
@@ -47,7 +46,7 @@ COLD_START_SCRIPT = textwrap.dedent("""
 
     n, tau = 256, 2.0**-14
     params = SchemeParams(tau=tau, n_modes=n, mu=-1, t_final=8 * tau)
-    data = [generate(RoughDataSpec(s=1.0, seed=seed, n_modes=n)).coeffs for seed in (1, 2)]
+    data = [generate(RoughDataSpec(s=1.0, seed=seed, n_modes=n)) for seed in (1, 2)]
     barrier = threading.Barrier(2, timeout=60)
     sys.setswitchinterval(1e-5)
 
@@ -61,8 +60,8 @@ COLD_START_SCRIPT = textwrap.dedent("""
 """)
 
 
-def random_field(n: int) -> SpectralField:
-    return SpectralField(n, RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n)))
+def random_field(n: int) -> np.ndarray:
+    return RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n))
 
 
 class TestSchemeParams:
@@ -110,22 +109,22 @@ class TestFreeFlow:
         f = plane_wave(8, 1.0, (1, 2))
         t = 0.371
         out = free_flow(f, t)
-        got = out.coeffs[8 // 2 + 1, 8 // 2 + 2]
+        got = out[8 // 2 + 1, 8 // 2 + 2]
         assert abs(got - np.exp(-5j * t)) <= 1e-15
 
     def test_zero_time_identity(self):
         f = random_field(8)
-        assert np.array_equal(free_flow(f, 0.0).coeffs, f.coeffs)
+        assert np.array_equal(free_flow(f, 0.0), f)
 
     def test_modulus_preserved(self):
         f = random_field(16)
         out = free_flow(f, 0.7)
-        assert np.abs(np.abs(out.coeffs) - np.abs(f.coeffs)).max() <= 1e-15
+        assert np.abs(np.abs(out) - np.abs(f)).max() <= 1e-15
 
     def test_additive_in_time(self):
         f = random_field(8)
-        a = free_flow(free_flow(f, 0.3), 0.4).coeffs
-        b = free_flow(f, 0.7).coeffs
+        a = free_flow(free_flow(f, 0.3), 0.4)
+        b = free_flow(f, 0.7)
         assert np.abs(a - b).max() <= 1e-14
 
 
@@ -161,7 +160,7 @@ class TestLieStep:
         p = SchemeParams(tau=tau, n_modes=n, mu=mu, t_final=8 * tau)
         steps = []
         out = evolve_field(plane_wave(n, a, (0, 0)), p, observer=lambda i, f: steps.append(i))
-        got = out.coeffs[n // 2, n // 2]
+        got = out[n // 2, n // 2]
         want = a * np.exp(1j * mu * 8 * tau * abs(a) ** 2)
         assert abs(got - want) <= 1e-13
         assert steps[-1] == 8
@@ -171,7 +170,7 @@ class TestLieStep:
         n, tau, mu, a, k = 16, 2.0**-4, -1, 0.25, (1, 2)
         p = SchemeParams(tau=tau, n_modes=n, mu=mu, t_final=tau)
         out = evolve_field(plane_wave(n, a, k), p)
-        got = out.coeffs[n // 2 + k[0], n // 2 + k[1]]
+        got = out[n // 2 + k[0], n // 2 + k[1]]
         assert abs(got - plane_wave_solution(a, k, mu, tau)) <= 1e-14
 
     def test_filter_invariance(self):
@@ -179,14 +178,14 @@ class TestLieStep:
         n = 16
         p = SchemeParams(tau=2.0**-3, n_modes=n, mu=-1, t_final=2.0**-3)
         out = evolve_field(project(random_field(n), p.theta), p)
-        assert np.array_equal(project(out, p.theta).coeffs, out.coeffs)
+        assert np.array_equal(project(out, p.theta), out)
 
     def test_zero_field_fixed_point(self):
         n = 8
         p = SchemeParams(tau=0.5, n_modes=n, mu=1, t_final=0.5)
-        z = SpectralField(n, np.zeros((n, n), dtype=complex))
+        z = np.zeros((n, n), dtype=complex)
         out = evolve_field(z, p)
-        assert np.abs(out.coeffs).max() == 0.0
+        assert np.abs(out).max() == 0.0
 
 
 class TestComposedOracle:
@@ -204,7 +203,7 @@ class TestComposedOracle:
         for _ in range(steps):
             want = composed_lie_step(want, p)
         got = evolve_field(u0, p)
-        diff = l2_norm(SpectralField(n, got.coeffs - want.coeffs))
+        diff = l2_norm(got - want)
         assert diff <= 1e-13 * l2_norm(want)
 
 
@@ -214,7 +213,7 @@ class TestEvolve:
         p = SchemeParams(tau=2.0**-3, n_modes=n, mu=-1, t_final=0.0)
         u0 = random_field(n)
         out = evolve_field(u0, p)
-        assert np.array_equal(out.coeffs, project(u0, p.theta).coeffs)
+        assert np.array_equal(out, project(u0, p.theta))
 
     def test_plane_wave_long_run(self):
         """1024 steps of a single mode stay on the analytic solution."""
@@ -222,7 +221,7 @@ class TestEvolve:
         p = SchemeParams(tau=tau, n_modes=n, mu=mu, t_final=1.0)
         out = evolve_field(plane_wave(n, a, k), p)
         want = plane_wave(n, plane_wave_solution(a, k, mu, 1.0), k)
-        err = l2_norm(SpectralField(n, out.coeffs - want.coeffs))
+        err = l2_norm(out - want)
         assert err <= 1e-10
 
     def test_deterministic(self):
@@ -231,7 +230,7 @@ class TestEvolve:
         p = SchemeParams(tau=2.0**-6, n_modes=16, mu=-1, t_final=0.25)
         a = evolve_field(u0, p)
         b = evolve_field(u0, p)
-        assert np.array_equal(a.coeffs, b.coeffs)
+        assert np.array_equal(a, b)
 
     def test_mass_conserved_identity_filter(self):
         """theta = 4/N^2 >= tau: relative mass drift stays below 1e-12."""
@@ -264,7 +263,7 @@ class TestEvolve:
         seen = []
         evolve_field(u0, p, observer=lambda i, f: seen.append(f))
         for f in seen:
-            assert np.array_equal(project(f, p.theta).coeffs, f.coeffs)
+            assert np.array_equal(project(f, p.theta), f)
 
     def test_observer_cadence(self):
         n = 8
@@ -287,28 +286,27 @@ class TestEvolve:
     def test_first_order_in_time(self):
         """Self-convergence against a tau/64 rerun shows slope 1.0 +- 0.15."""
         n = 32
-        coeffs = np.zeros((n, n), dtype=complex)
+        u0 = np.zeros((n, n), dtype=complex)
         k = np.arange(-2, 3)
         block = (RNG.standard_normal((5, 5)) + 1j * RNG.standard_normal((5, 5))) * 0.05
-        coeffs[np.ix_(n // 2 + k, n // 2 + k)] = block
-        u0 = SpectralField(n, coeffs)
+        u0[np.ix_(n // 2 + k, n // 2 + k)] = block
         theta = 4.0 / n**2  # frozen filter so only the step size varies
         errs, taus = [], [2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7]
         for tau in taus:
             coarse = evolve_field(u0, SchemeParams(tau, n, -1, 0.25, theta=theta))
             fine = evolve_field(u0, SchemeParams(tau / 64, n, -1, 0.25, theta=theta))
-            errs.append(l2_norm(SpectralField(n, coarse.coeffs - fine.coeffs)))
+            errs.append(l2_norm(coarse - fine))
         slope = np.polyfit(np.log2(taus), np.log2(errs), 1)[0]
         assert abs(slope - 1.0) <= 0.15
 
     def test_blowup_detected_and_named(self):
         """Overflowing samples of a bare datum give a 0-d blow-up step and a zeroed state."""
         n = 8
-        u0 = plane_wave(n, 1e200, (0, 0)).coeffs
+        u0 = plane_wave(n, 1e200, (0, 0))
         p = SchemeParams(tau=2.0**-4, n_modes=n, mu=1, t_final=1.0)
         with np.errstate(over="ignore", invalid="ignore"):
             final, blowup = evolve(u0, p)
-            finals, blowups = evolve(np.stack([random_field(n).coeffs, u0]), p)
+            finals, blowups = evolve(np.stack([random_field(n), u0]), p)
         assert blowup.shape == () and blowup == 0
         assert final.shape == (n, n) and not final.any()
         assert blowups.tolist() == [-1, 0]
@@ -320,22 +318,22 @@ class TestEvolve:
         data = [generate(RoughDataSpec(s=1.0, seed=seed, n_modes=n, target_l2=10.0))
                 for seed in (1, 2, 3)]
         p = SchemeParams(tau=tau, n_modes=n, mu=-1, t_final=32 * tau)
-        finals, blowup = evolve(np.stack([f.coeffs for f in data]), p)
+        finals, blowup = evolve(np.stack(data), p)
         assert blowup.tolist() == [-1, -1, -1]
         for f, got in zip(data, finals):
-            assert np.array_equal(got, evolve_field(f, p).coeffs)
+            assert np.array_equal(got, evolve_field(f, p))
 
     def test_stack_blowup_is_per_slice(self):
         """A slice that blows up is named and zeroed; the others run on as alone."""
         n = 8
         calm = random_field(n)
         p = SchemeParams(tau=2.0**-4, n_modes=n, mu=1, t_final=1.0)
-        stack = np.stack([plane_wave(n, 1e200, (0, 0)).coeffs, calm.coeffs])
+        stack = np.stack([plane_wave(n, 1e200, (0, 0)), calm])
         with np.errstate(over="ignore", invalid="ignore"):
             finals, blowup = evolve(stack, p)
         assert blowup.tolist() == [0, -1]
         assert not finals[0].any()
-        assert np.array_equal(finals[1], evolve_field(calm, p).coeffs)
+        assert np.array_equal(finals[1], evolve_field(calm, p))
 
     def test_concurrent_cold_start_bits(self):
         """Concurrent first runs in a fresh process match serial runs bit for bit."""
@@ -355,14 +353,13 @@ class TestEvolve:
         p = SchemeParams(tau=0.25, n_modes=n, mu=-1, t_final=1.0)
 
         def observer(step, coeffs):
-            save_field(SpectralField(n, coeffs), tmp_path / f"case_{step}.nls2")
+            save_field(coeffs, tmp_path / f"case_{step}.nls2")
 
-        final, _ = evolve(u0.coeffs, p, observer=observer, observer_every=2)
+        final, _ = evolve(u0, p, observer=observer, observer_every=2)
         names = sorted(q.name for q in tmp_path.glob("*.nls2"))
         assert names == ["case_0.nls2", "case_2.nls2", "case_4.nls2"]
-        assert np.array_equal(load_field(tmp_path / "case_0.nls2").coeffs,
-                              project(u0, p.theta).coeffs)
-        assert np.array_equal(load_field(tmp_path / "case_4.nls2").coeffs, final)
+        assert np.array_equal(load_field(tmp_path / "case_0.nls2"), project(u0, p.theta))
+        assert np.array_equal(load_field(tmp_path / "case_4.nls2"), final)
 
 
 if __name__ == "__main__":
