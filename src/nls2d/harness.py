@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import logging
 import math
@@ -33,7 +34,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import Container, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -250,7 +251,7 @@ def _try_load_reference(path: Path, key: str) -> np.ndarray | None:
         if hashlib.sha256(blob).hexdigest() != meta.get("payload_sha256"):
             logger.warning("reference cache %s is corrupt (hash mismatch); recomputing", path)
             return None
-        return snapshot.decode_field(blob, path)
+        return snapshot._decode_field(blob, path)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         logger.warning("reference cache %s unreadable (%s); recomputing", path, exc)
         return None
@@ -366,8 +367,8 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     version) is dropped and recomputed.  Rows resume only under the
     recipe in ``study.json`` (adding an s, a tau or a seed still resumes);
     a different one raises ValueError before anything is written.  On
-    completion the plot file of each s is rewritten if a stack of that s
-    ran or the file is missing, so a full resume writes nothing.
+    completion each plot file is written unless it already holds the
+    right bytes, so a full resume writes nothing.
     """
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     records_path = cfg.output_dir / "records.csv"
@@ -429,8 +430,7 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
             fut.result()
 
     records.sort(key=lambda r: r.key)
-    ran = {s for (s, _), seeds in rows.items() if seeds}
-    _write_plots(records, cfg.output_dir, unchanged={r.s for r in records} - ran)
+    _write_plots(records, cfg.output_dir)
     return records
 
 
@@ -507,10 +507,11 @@ def fit_order(records: Iterable[ConvergenceRecord], s: float | None = None) -> O
 def export(records: Sequence[ConvergenceRecord], out_dir: str | Path) -> list[Path]:
     """Write the sorted records CSV plus one plot-data file per s.
 
-    Returns the written paths.  Plot files hold two columns
-    (log2_theta, log2_median_error) and round-trip the fit exactly.  Each
-    file is written to a temp file and renamed into place, so a failed
-    export leaves the previous file whole.
+    Returns the records and plot files' paths.  Plot files hold two
+    columns (log2_theta, log2_median_error) and round-trip the fit exactly;
+    one that already holds those bytes is left as it is.  Each file is
+    written to a temp file and renamed into place, so a failed export
+    leaves the previous file whole.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -519,21 +520,21 @@ def export(records: Sequence[ConvergenceRecord], out_dir: str | Path) -> list[Pa
     return [path, *_write_plots(records, out_dir)]
 
 
-def _write_plots(records: Sequence[ConvergenceRecord], out_dir: Path,
-                 unchanged: Container[float] = ()) -> list[Path]:
-    """Replace the plot-data file of every s in ``records``, but keep an existing
-    one whose s is in ``unchanged``; returns the paths written."""
+def _write_plots(records: Sequence[ConvergenceRecord], out_dir: Path) -> list[Path]:
+    """Write the plot-data file of every s in ``records``, keeping a file that
+    already holds the same bytes; returns the plot files' paths."""
     paths = []
     for s in sorted({r.s for r in records}):
         path = out_dir / f"plot_s{s:g}.csv"
-        if s in unchanged and path.exists():
-            continue
         x, y = median_curve([r for r in records if r.s == s])
-        with snapshot.staged(path) as tmp, open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["log2_theta", "log2_median_error"])
-            for xi, yi in zip(x, y):
-                writer.writerow([repr(float(xi)), repr(float(yi))])
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["log2_theta", "log2_median_error"])
+        writer.writerows([repr(float(xi)), repr(float(yi))] for xi, yi in zip(x, y))
+        data = buf.getvalue().encode()
+        if not path.is_file() or path.read_bytes() != data:
+            with snapshot.staged(path) as tmp:
+                tmp.write_bytes(data)
         paths.append(path)
     return paths
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .spectral import NonFiniteFieldError
 
-__all__ = ["MAGIC", "FORMAT_VERSION", "save_field", "load_field", "decode_field", "staged"]
+__all__ = ["MAGIC", "FORMAT_VERSION", "save_field", "load_field", "staged"]
 
 MAGIC = b"NLS2"
 FORMAT_VERSION = 1
@@ -56,16 +56,16 @@ def save_field(coeffs: np.ndarray, path: str | Path) -> None:
 
 
 def load_field(path: str | Path) -> np.ndarray:
-    """Read the (N, N) array written by :func:`save_field`; see :func:`decode_field`."""
-    return decode_field(Path(path).read_bytes(), path)
+    """Read the (N, N) array written by :func:`save_field`.
 
-
-def decode_field(blob: bytes, source: str | Path) -> np.ndarray:
-    """The (N, N) array held by the snapshot bytes ``blob``, read from ``source``.
-
-    Raises ValueError naming ``source`` on a bad header, odd or too small N,
+    Raises ValueError naming ``path`` on a bad header, odd or too small N,
     or a payload of the wrong length; NonFiniteFieldError on NaN or Inf.
     """
+    return _decode_field(Path(path).read_bytes(), path)
+
+
+def _decode_field(blob: bytes, source: str | Path) -> np.ndarray:
+    """:func:`load_field` on the bytes ``blob`` already read from ``source``."""
     if len(blob) < _HEADER.size:
         raise ValueError(f"{source}: truncated snapshot header")
     magic, version, n = _HEADER.unpack_from(blob)

@@ -370,7 +370,7 @@ class TestRunStudy:
         redone = next(r for r in resumed if r.key == gap)
         original = next(r for r in records if r.key == gap)
         assert redone.l2_error == original.l2_error
-        assert plot.stat().st_ino != inode  # a stack of s = 2 ran, so its plot is rewritten
+        assert plot.stat().st_ino != inode  # the gap's row changed the plot, so it is rewritten
 
     def test_torn_last_row_recomputed(self, mini_study, monkeypatch):
         """A row cut short by a kill mid-write is dropped and redone alone."""
@@ -442,6 +442,34 @@ class TestRunStudy:
                             lambda u0, p, **k: stacks.append(p.n_modes) or real(u0, p, **k))
         assert len(run_study(cfg)) == 6
         assert stacks == [12]
+
+    def test_stale_plot_of_another_s_repaired(self, tmp_path, monkeypatch):
+        """A plot file left behind by a run that failed after its s gained a
+        row is rewritten by a rerun that runs no stack of that s."""
+        cfg = StudyConfig(s_values=(1.0, 2.0), tau_list=(2.0**-4, 2.0**-5, 2.0**-6),
+                          t_final=0.25, grid_reference=64, tau_reference=2.0**-10,
+                          seeds=(1,), output_dir=tmp_path / "study", workers=1)
+        run_study(cfg)
+        wider = replace(cfg, tau_list=cfg.tau_list + (2.0**-3,))
+        n_new = grid_for_tau(2.0**-3)
+        s2_datum = restrict(generate(cfg.datum_spec(2.0, 1)), n_new)
+        real = harness.evolve
+
+        def s2_killed(u0, p, **k):
+            if p.n_modes == n_new and np.array_equal(u0[0], s2_datum):
+                raise OSError("killed")
+            return real(u0, p, **k)
+
+        monkeypatch.setattr(harness, "evolve", s2_killed)
+        with pytest.raises(OSError, match="killed"):
+            run_study(wider)  # (1, 2^-3) finished, (2, 2^-3) did not
+        monkeypatch.setattr(harness, "evolve", real)
+        records = run_study(wider)
+        assert len(records) == 8
+        export(records, tmp_path / "export")
+        for s in ("1", "2"):
+            name = f"plot_s{s}.csv"
+            assert (cfg.output_dir / name).read_bytes() == (tmp_path / "export" / name).read_bytes()
 
     def test_stacked_rows_match_per_seed_runs(self, tmp_path):
         """Each record of a 3-seed study is that of its own run, measured by embedding."""
