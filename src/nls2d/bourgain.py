@@ -55,8 +55,8 @@ import numpy as np
 
 from .roughdata import RoughDataSpec, generate, generate_stack, uniform_block
 from .snapshot import staged
-from .spectral import (_validate_square, free_phase, mode_ksq, project, sobolev_norm, synthesize,
-                       window_mask)
+from .spectral import (_slice_sums, _validate_square, free_phase, mode_ksq, project,
+                       sobolev_norm, synthesize, window_mask)
 
 __all__ = [
     "Trajectory",
@@ -116,7 +116,7 @@ class Trajectory:
         v = g.real**2 + g.imag**2
         cell = (2.0 * np.pi / g.shape[-1]) ** 2
         total = 0.0
-        for q in np.sum((v * v).reshape(len(v), -1), axis=1):  # each slice's np.sum, bit for bit
+        for q in _slice_sums(v * v):
             total += cell * float(q)
         return total
 

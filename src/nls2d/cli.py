@@ -33,8 +33,9 @@ EXIT_IO = 4
 def _datum_args(p: argparse.ArgumentParser, required: bool) -> None:
     p.add_argument("--s", type=float, required=required, help="smoothness dial of the datum")
     p.add_argument("--seed", type=int, required=required, help="datum seed")
-    p.add_argument("--eps", type=float, default=0.01, help="extra decay margin")
-    p.add_argument("--target-l2", type=float, default=0.1, help="L2 norm of the datum")
+    p.add_argument("--eps", type=float, default=RoughDataSpec.eps, help="extra decay margin")
+    p.add_argument("--target-l2", type=float, default=RoughDataSpec.target_l2,
+                   help="L2 norm of the datum")
 
 
 def _datum(args: argparse.Namespace, n_modes: int) -> np.ndarray:
@@ -93,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=16, help="snapshots per trajectory")
     p.add_argument("--grid", type=int, default=16, help="lattice size of the ensemble")
     p.add_argument("--seed", type=int, default=0, help="ensemble seed")
-    p.add_argument("--s", type=float, default=1.0, help="smoothness exponent of the probes")
-    p.add_argument("--b", type=float, default=0.6, help="time exponent, in (1/2, 1)")
+    p.add_argument("--s", type=float, default=argparse.SUPPRESS, help="probe smoothness exponent")
+    p.add_argument("--b", type=float, default=argparse.SUPPRESS, help="time exponent, in (1/2, 1)")
     p.add_argument("--out", type=Path, required=True, help="probe report CSV")
     p.set_defaults(func=_cmd_diagnose)
 
@@ -194,7 +195,8 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
                                        seed0=args.seed)
     results = []
     # one seed-major pass; the report is estimate-major, then by tau
-    for estimate in bourgain.estimate_probe(ensemble, estimates, s=args.s, b=args.b):
+    exponents = {k: v for k, v in vars(args).items() if k in ("s", "b")}
+    for estimate in bourgain.estimate_probe(ensemble, estimates, **exponents):
         for tau in args.tau:
             result = bourgain.ProbeResult(
                 estimate.estimate_id, tuple(r for r in estimate.rows if r.tau == tau))

@@ -22,13 +22,9 @@ Every datum is drawn by :func:`generate_stack`, which builds the data of
 consecutive seeds at once: one (count, 2*N*N) block of the stream, one
 decay weight, and one ``l2_norm`` per slice.  :func:`generate` is its
 one-slice case.  The uint64 arithmetic and the scaling are elementwise, so
-each slice is bit for bit the datum of its seed drawn alone.
-:func:`uniform_block` gives the stream of one seed.
-
-The normalization is not pinned as tightly as the draws: ``l2_norm`` sums
-through ``np.vdot``, which a threaded BLAS may split across threads, so at
-large N the scale factor, and with it every coefficient, can differ in its
-last bits with the BLAS thread count.
+each slice is bit for bit the datum of its seed drawn alone.  ``l2_norm``
+sums in a fixed order, so the datum, scale included, is the same bits under
+any BLAS thread count.  :func:`uniform_block` gives the stream of one seed.
 """
 
 from __future__ import annotations
@@ -114,9 +110,8 @@ def _decayed(draws: np.ndarray, spec: RoughDataSpec) -> np.ndarray:
 def generate(spec: RoughDataSpec) -> np.ndarray:
     """The (N, N) datum described by ``spec``: the one-slice :func:`generate_stack`.
 
-    Deterministic: equal specs give bit-identical coefficient arrays under
-    one BLAS thread count.  The normalization is exact up to one rounding
-    of the scale factor.
+    Deterministic: equal specs give bit-identical coefficient arrays.  The
+    normalization is exact up to one rounding of the scale factor.
     """
     return generate_stack(spec, 1)[0]
 

@@ -34,8 +34,8 @@ __all__ = [
     "evolve",
 ]
 
-# Bump when any change alters the bit-level output of the integrator.
-SCHEME_VERSION = 2
+# Bump when a change alters the bits of a datum, an integrator output or an error.
+SCHEME_VERSION = 3
 
 Observer = Callable[[int, np.ndarray], None]
 

@@ -16,7 +16,7 @@ from nls2d.spectral import l2_norm
 
 from oracles import plane_wave, plane_wave_solution
 
-# probes.csv as written at commit fbf1273, one ensemble per estimate; it must not change.
+# probes.csv, one ensemble per estimate, since the fixed-order L2 sum; it must not change.
 PROBES_GOLDEN = Path(__file__).parent / "data" / "probes_golden.csv"
 
 

@@ -506,7 +506,7 @@ class TestRunStudy:
         cfg, _ = mini_study
         assert (cfg.output_dir / "study.json").read_text() == (
             '{\n'
-            '  "scheme": 2,\n'
+            '  "scheme": 3,\n'
             '  "T": "0x1.0000000000000p-2",\n'
             '  "grid_reference": 64,\n'
             '  "tau_reference": "0x1.0000000000000p-10",\n'
