@@ -154,8 +154,7 @@ class StudyConfig:
             raise ValueError("seeds must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds contains duplicates")
-        if not (self.eps > 0.0) or not (self.target_l2 > 0.0):
-            raise ValueError("eps and target_l2 must be positive")
+        self.datum_spec(self.s_values[0], self.seeds[0])  # checks eps and target_l2
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         max_n = max(n for _, n in runs)
@@ -215,6 +214,7 @@ class OrderFit:
 
 
 def _reference_key(u0: np.ndarray, tau_ref: float, t_final: float, mu: int) -> str:
+    # The copy stays: hashing the buffer alone left evolve's arrays 64 KiB-aliased, ~10 % slower.
     digest = hashlib.sha256(np.ascontiguousarray(u0, dtype="<c16").tobytes()).hexdigest()
     return "|".join([
         f"scheme={SCHEME_VERSION}",
@@ -228,27 +228,7 @@ def _reference_key(u0: np.ndarray, tau_ref: float, t_final: float, mu: int) -> s
 
 def reference_cache_path(cache_dir: str | Path, key: str) -> Path:
     digest = hashlib.sha256(key.encode()).hexdigest()
-    return Path(cache_dir) / f"ref_{digest[:32]}.nls2"
-
-
-def _try_load_reference(path: Path, key: str) -> np.ndarray | None:
-    """The cached reference at ``path``, parsed from the very bytes whose hash matched."""
-    meta_path = path.with_suffix(".json")
-    if not path.exists() or not meta_path.exists():
-        return None
-    try:
-        meta = json.loads(meta_path.read_text())
-        if meta.get("key") != key:
-            logger.warning("reference cache %s keyed to a different run; recomputing", path)
-            return None
-        blob = path.read_bytes()
-        if hashlib.sha256(blob).hexdigest() != meta.get("payload_sha256"):
-            logger.warning("reference cache %s is corrupt (hash mismatch); recomputing", path)
-            return None
-        return snapshot._decode_field(blob, path)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        logger.warning("reference cache %s unreadable (%s); recomputing", path, exc)
-        return None
+    return Path(cache_dir) / f"ref_{digest[:32]}.entry"
 
 
 def compute_reference(
@@ -262,12 +242,10 @@ def compute_reference(
 
     The reference runs the same integrator with the filter held at the
     lattice identity (``theta = 4/K^2`` for a K-mode datum).  Cache entries
-    are keyed by the digest of the datum's coefficients, the lattice size,
-    step, horizon, sign and integrator version, and carry a payload
-    checksum; corrupt or mismatched entries are recomputed with a warning.
-    The payload and then its metadata are each written to a temp file and
-    renamed into place, so processes sharing a cache never read a partial
-    entry.
+    (:func:`nls2d.snapshot.save_entry`) are keyed by the digest of the
+    datum's coefficients, the lattice size, step, horizon, sign and
+    integrator version; corrupt or mismatched ones are recomputed with a
+    warning.
 
     Returns the reference and its cache path (None without ``cache_dir``).
     Raises :class:`~nls2d.splitting.BlowupError`, caching nothing, if the
@@ -277,9 +255,12 @@ def compute_reference(
     path = None
     if cache_dir is not None:
         path = reference_cache_path(cache_dir, key)
-        cached = _try_load_reference(path, key)
-        if cached is not None:
-            return cached, path
+        try:
+            return snapshot.load_entry(path, key), path
+        except FileNotFoundError:
+            pass  # a miss
+        except (OSError, ValueError) as exc:
+            logger.warning("reference cache unusable (%s); recomputing", exc)
     n = u0.shape[-1]
     params = SchemeParams(tau=tau_ref, n_modes=n, mu=mu, t_final=t_final, theta=4.0 / (n * n))
     final, blowup = evolve(u0, params)
@@ -287,11 +268,7 @@ def compute_reference(
         raise BlowupError(int(blowup))
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with snapshot.staged(path) as tmp:
-            snapshot.save_field(final, tmp)
-            meta = {"key": key, "payload_sha256": hashlib.sha256(tmp.read_bytes()).hexdigest()}
-        with snapshot.staged(path.with_suffix(".json")) as tmp:
-            tmp.write_text(json.dumps(meta, indent=2))
+        snapshot.save_entry(final, path, key)
     return final, path
 
 
@@ -388,15 +365,9 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     data = {(s, seed): generate(cfg.datum_spec(s, seed)) for s, seed in needed_pairs}
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         ref_futures = {
-            (s, seed): pool.submit(
-                compute_reference,
-                data[(s, seed)],
-                cfg.tau_reference,
-                cfg.t_final,
-                cfg.mu,
-                cfg.resolved_cache_dir,
-            )
-            for s, seed in needed_pairs
+            pair: pool.submit(compute_reference, data[pair], cfg.tau_reference, cfg.t_final,
+                              cfg.mu, cfg.resolved_cache_dir)
+            for pair in needed_pairs
         }
         refs = {key: fut.result()[0] for key, fut in ref_futures.items()}
 

@@ -14,6 +14,7 @@ offset 12         N*N coefficients, complex128 as (re, im) pairs of
 
 from __future__ import annotations
 
+import hmac
 import os
 import struct
 import threading
@@ -25,7 +26,8 @@ import numpy as np
 
 from .spectral import NonFiniteFieldError
 
-__all__ = ["MAGIC", "FORMAT_VERSION", "save_field", "load_field", "staged"]
+__all__ = ["MAGIC", "FORMAT_VERSION", "save_field", "load_field", "save_entry", "load_entry",
+           "staged"]
 
 MAGIC = b"NLS2"
 FORMAT_VERSION = 1
@@ -55,6 +57,32 @@ def save_field(coeffs: np.ndarray, path: str | Path) -> None:
         fh.write(payload)
 
 
+def save_entry(coeffs: np.ndarray, path: Path, key: str) -> None:
+    """Write the (N, N) array as the cache entry for ``key`` at ``path``, by one rename.
+
+    An entry is the array's snapshot bytes, written from its buffer, then
+    their 32-byte HMAC-SHA256 under ``key``; :func:`staged` moves it into
+    place, so readers see no entry or the whole one.
+    """
+    payload = np.ascontiguousarray(coeffs, dtype="<c16")
+    header = _HEADER.pack(MAGIC, FORMAT_VERSION, payload.shape[-1])
+    checksum = hmac.new(key.encode(), header, "sha256")
+    checksum.update(payload)
+    with staged(path) as tmp, open(tmp, "wb") as fh:
+        fh.writelines([header, payload, checksum.digest()])
+
+
+def load_entry(path: Path, key: str) -> np.ndarray:
+    """The array of the entry for ``key`` at ``path``, decoded from the one read it checked.
+
+    Raises ValueError naming ``path`` if the checksum does not match ``key`` and the bytes.
+    """
+    blob = memoryview(path.read_bytes())
+    if blob[-32:] != hmac.digest(key.encode(), blob[:-32], "sha256"):
+        raise ValueError(f"{path} is corrupt or keyed to a different run")
+    return _decode_field(blob[:-32], path)
+
+
 def load_field(path: str | Path) -> np.ndarray:
     """Read the (N, N) array written by :func:`save_field`.
 
@@ -64,7 +92,7 @@ def load_field(path: str | Path) -> np.ndarray:
     return _decode_field(Path(path).read_bytes(), path)
 
 
-def _decode_field(blob: bytes, source: str | Path) -> np.ndarray:
+def _decode_field(blob: bytes | memoryview, source: str | Path) -> np.ndarray:
     """:func:`load_field` on the bytes ``blob`` already read from ``source``."""
     if len(blob) < _HEADER.size:
         raise ValueError(f"{source}: truncated snapshot header")

@@ -106,7 +106,7 @@ class TestReference:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "reference cached at" in out
-        cached = list(cache.glob("ref_*.nls2"))
+        cached = list(cache.glob("ref_*.entry"))
         assert len(cached) == 1
         assert str(cached[0]) in out
 
@@ -151,6 +151,10 @@ workers = 2
         assert "s=2: slope=" in out
         assert (tmp_path / "out" / "records.csv").exists()
         assert (tmp_path / "out" / "plot_s2.csv").exists()
+        # one file per (s, seed) reference, and nothing beside them
+        cached = sorted(p.name for p in (tmp_path / "cache").iterdir())
+        assert len(cached) == 2 and all(n.startswith("ref_") and n.endswith(".entry")
+                                        for n in cached)
 
     def test_out_override_and_sensitivity(self, tmp_path, capsys):
         cfg = tmp_path / "study.cfg"

@@ -1,8 +1,14 @@
 """Tests for the convergence-study harness."""
 
+import hashlib
+import io
+import json
 import logging
 import math
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -194,20 +200,20 @@ class TestReference:
 
     def test_cache_hit_parses_the_hashed_bytes(self, tmp_path, monkeypatch):
         """A hit decodes the one read whose sha256 it checked; it reads no file again."""
-        first, _ = compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
-
-        def no_second_read(*args, **kwargs):
-            raise AssertionError("a cache hit must not read the payload twice")
-
-        monkeypatch.setattr(snapshot, "load_field", no_second_read)
+        first, path = compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
+        reads = []
+        real_read = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda p: reads.append(p) or real_read(p))
+        monkeypatch.setattr(snapshot, "load_field",
+                            lambda *a, **k: pytest.fail("a cache hit must not read the payload twice"))
         monkeypatch.setattr(harness, "evolve",
                             lambda *a, **k: pytest.fail("a cache hit must not recompute"))
         second, _ = compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
+        assert reads == [path]
         assert np.array_equal(first, second)
 
     def test_corrupt_payload_recomputed(self, tmp_path, caplog):
-        first, _ = compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
-        path = next(tmp_path.glob("ref_*.nls2"))
+        first, path = compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
         blob = bytearray(path.read_bytes())
         blob[100] ^= 0xFF
         path.write_bytes(bytes(blob))
@@ -215,26 +221,32 @@ class TestReference:
             second, _ = compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
         assert any("corrupt" in r.message for r in caplog.records)
         assert np.array_equal(first, second)
+        assert snapshot.load_entry(path, harness._reference_key(
+            self.DATUM, 2.0**-6, 0.25, -1)).tobytes() == first.tobytes()
 
-    def test_foreign_key_recomputed(self, tmp_path, caplog):
-        compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
-        meta = next(tmp_path.glob("ref_*.json"))
-        meta.write_text(meta.read_text().replace("scheme=", "scheme=9"))
+    def test_foreign_key_recomputed(self, tmp_path, monkeypatch, caplog):
+        """An intact entry written under another key is a mismatch, not a hit."""
+        first, path = compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
+        snapshot.save_entry(first, path, "scheme=9|another run")
+        calls = []
+        real = harness.evolve
+        monkeypatch.setattr(harness, "evolve", lambda *a, **k: calls.append(1) or real(*a, **k))
         with caplog.at_level(logging.WARNING, logger="nls2d.harness"):
-            compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
+            second, _ = compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
         assert any("different run" in r.message for r in caplog.records)
+        assert calls == [1]
+        assert np.array_equal(first, second)
 
     def test_failed_write_leaves_no_entry(self, tmp_path, monkeypatch, caplog):
-        """A payload write that dies half way leaves nothing at a final path."""
-        real = snapshot.save_field
+        """An entry write that dies part way leaves nothing at the final path."""
 
-        def torn(field, path):
-            real(field, path)
-            blob = Path(path).read_bytes()
-            Path(path).write_bytes(blob[: len(blob) // 2])
-            raise OSError("disk full")
+        class TornFile(io.FileIO):
+            def write(self, data):
+                data = bytes(data)
+                super().write(data[: len(data) // 2])
+                raise OSError("disk full")
 
-        monkeypatch.setattr(snapshot, "save_field", torn)
+        monkeypatch.setattr(snapshot, "open", TornFile, raising=False)  # shadows the builtin
         with pytest.raises(OSError, match="disk full"):
             compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
@@ -242,15 +254,14 @@ class TestReference:
         with caplog.at_level(logging.WARNING, logger="nls2d.harness"):
             _, path = compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
         assert caplog.records == []
-        assert path.exists() and path.with_suffix(".json").exists()
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_blowup_raises_and_caches_nothing(self, tmp_path):
         """A reference solve that overflows raises before any cache write."""
         with np.errstate(all="ignore"), pytest.raises(BlowupError, match="step 0"):
             compute_reference(plane_wave(8, 1e200, (0, 0)), 2.0**-4, 0.25, mu=1,
                               cache_dir=tmp_path)
-        assert list(tmp_path.glob("ref_*.nls2")) == []
-        assert list(tmp_path.glob("*.json")) == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_distinct_recipes_distinct_paths(self, tmp_path):
         a = reference_cache_path(tmp_path, "key-a")
@@ -299,6 +310,61 @@ def mini_study(tmp_path_factory):
         workers=2,
     )
     return cfg, run_study(cfg)
+
+
+class TestSharedCache:
+    """Processes sharing one cache directory, and entries of the older two-file layout."""
+
+    REFERENCE = ["-m", "nls2d", "reference", "--s", "1.0", "--seed", "5", "--K", "16",
+                 "--tau-ref", "2^-12", "--T", "0.25", "--cache"]
+
+    @staticmethod
+    def _env() -> dict[str, str]:
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        return {**os.environ,
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def test_racing_misses_leave_one_entry(self, tmp_path):
+        """Two processes that miss one key at about the same time both succeed and leave
+        one whole entry, which a third process then hits."""
+        cmd = [sys.executable, *self.REFERENCE, str(tmp_path)]
+        procs = [subprocess.Popen(cmd, env=self._env(), stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE, text=True) for _ in range(2)]
+        try:
+            outputs = [p.communicate(timeout=120) for p in procs]
+        finally:
+            for p in procs:
+                p.kill()
+        assert [p.returncode for p in procs] == [0, 0], outputs
+        entries = list(tmp_path.iterdir())
+        assert len(entries) == 1 and entries[0].suffix == ".entry", entries  # no *.tmp left
+        before = entries[0].stat()
+        third = subprocess.run(cmd, env=self._env(), capture_output=True, text=True, timeout=120)
+        assert third.returncode == 0, third.stderr
+        assert third.stderr == ""  # no warning
+        assert str(entries[0]) in third.stdout
+        after = entries[0].stat()
+        # a hit writes nothing: the entry keeps its inode and its mtime
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    def test_old_two_file_entry_is_a_silent_miss(self, tmp_path, monkeypatch, caplog):
+        """A ``ref_*.nls2`` payload with its ``ref_*.json`` key file is ignored, not warned about."""
+        datum = TestReference.DATUM
+        key = harness._reference_key(datum, 2.0**-6, 0.25, -1)
+        want, _ = compute_reference(datum, 2.0**-6, 0.25)
+        old = reference_cache_path(tmp_path, key).with_suffix(".nls2")
+        snapshot.save_field(want, old)
+        meta = {"key": key, "payload_sha256": hashlib.sha256(old.read_bytes()).hexdigest()}
+        old.with_suffix(".json").write_text(json.dumps(meta, indent=2))
+        calls = []
+        real = harness.evolve
+        monkeypatch.setattr(harness, "evolve", lambda *a, **k: calls.append(1) or real(*a, **k))
+        with caplog.at_level(logging.WARNING, logger="nls2d.harness"):
+            got, path = compute_reference(datum, 2.0**-6, 0.25, cache_dir=tmp_path)
+        assert caplog.records == []
+        assert calls == [1]
+        assert np.array_equal(got, want)
+        assert sorted(tmp_path.iterdir()) == sorted([old, old.with_suffix(".json"), path])
 
 
 class TestRunStudy:

@@ -1,11 +1,14 @@
 """Tests for the binary field snapshot format."""
 
+import hmac
 import struct
 
 import numpy as np
 import pytest
 
-from nls2d.snapshot import FORMAT_VERSION, MAGIC, load_field, save_field
+from nls2d.snapshot import (
+    FORMAT_VERSION, MAGIC, load_entry, load_field, save_entry, save_field,
+)
 
 RNG = np.random.default_rng(99)
 
@@ -82,6 +85,31 @@ class TestSnapshotErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_field(tmp_path / "nope.nls2")
+
+
+class TestCacheEntry:
+    def test_layout_and_round_trip(self, tmp_path):
+        """An entry is the snapshot bytes, then their HMAC-SHA256 under the key."""
+        f = random_field(8)
+        save_field(f, tmp_path / "plain.nls2")
+        plain = (tmp_path / "plain.nls2").read_bytes()
+        path = tmp_path / "ref.entry"
+        save_entry(np.asfortranarray(f), path, "key-a")
+        assert path.read_bytes() == plain + hmac.digest(b"key-a", plain, "sha256")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.nls2", "ref.entry"]
+        back = load_entry(path, "key-a")
+        assert back.dtype == np.complex128 and np.array_equal(back, f)
+
+    def test_other_key_or_short_file_rejected(self, tmp_path):
+        path = tmp_path / "ref.entry"
+        save_entry(random_field(4), path, "key-a")
+        with pytest.raises(ValueError, match="corrupt or keyed to a different run"):
+            load_entry(path, "key-b")
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(ValueError, match="corrupt"):
+            load_entry(path, "key-a")
+        with pytest.raises(FileNotFoundError):
+            load_entry(tmp_path / "none.entry", "key-a")
 
 
 if __name__ == "__main__":
