@@ -15,7 +15,6 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -65,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True, help="final snapshot file")
     p.add_argument("--snapshots", type=Path, default=None, help="directory for trajectory dumps")
     p.add_argument("--snapshot-every", type=int, default=1, help="dump stride")
-    p.add_argument("--run-id", default="run", help="file name stem for trajectory dumps")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("reference", help="build and cache a reference solution")
@@ -81,9 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converge", help="run a convergence study from a config file")
     p.add_argument("--config", type=Path, required=True, help="key = value config file")
     p.add_argument("--out", type=Path, default=None, help="override output_dir")
-    p.add_argument("--reference-sensitivity", default=None, metavar="K:TAU[,K:TAU...]",
-                   help="redo the sweep against alternative references; each alternate "
-                        "draws its datum at its own K, so it judges a different datum")
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("diagnose", help="estimate probes over trajectory ensembles")
@@ -130,7 +125,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.snapshots.mkdir(parents=True, exist_ok=True)
 
         def observer(step, coeffs):
-            snapshot.save_field(coeffs, args.snapshots / f"{args.run_id}_{step}.nls2")
+            snapshot.save_field(coeffs, args.snapshots / f"run_{step}.nls2")
 
     final, blowup = evolve(u0, params, observer=observer, observer_every=args.snapshot_every)
     if blowup >= 0:
@@ -148,44 +143,20 @@ def _cmd_reference(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_alternates(text: str) -> list[tuple[int, float]]:
-    out = []
-    for part in text.split(","):
-        k, _, tau = part.partition(":")
-        try:
-            if not tau:
-                raise ValueError("expected K:TAU")
-            out.append((int(k), harness.parse_dyadic(tau)))
-        except ValueError as exc:
-            raise ValueError(f"--reference-sensitivity: bad entry {part!r}: {exc}") from None
-    return out
-
-
-def _print_fits(prefix: str, records: Sequence[harness.ConvergenceRecord],
-                s_values: Sequence[float]) -> None:
-    for s in s_values:
-        try:
-            fit = harness.fit_order(records, s=s)
-        except ValueError as exc:
-            print(f"{prefix}s={s:g}: no fit ({exc})")
-            continue
-        print(f"{prefix}s={s:g}: slope={fit.slope:.4f} intercept={fit.intercept:.4f} "
-              f"residual={fit.residual:.4f} points={fit.n_points}")
-
-
 def _cmd_converge(args: argparse.Namespace) -> int:
     cfg = harness.parse_config_file(args.config)
     if args.out is not None:
         cfg = replace(cfg, output_dir=args.out)
-    alternates = {}
-    if args.reference_sensitivity:
-        alternates = harness.sensitivity_configs(
-            cfg, _parse_alternates(args.reference_sensitivity))
     records = harness.run_study(cfg)
     print(f"{len(records)} records in {cfg.output_dir / 'records.csv'}")
-    _print_fits("", records, cfg.s_values)
-    for (k, tau), sub in alternates.items():
-        _print_fits(f"ref K={k} tau={tau:g} ", harness.run_study(sub), cfg.s_values)
+    for s in cfg.s_values:
+        try:
+            fit = harness.fit_order(records, s=s)
+        except ValueError as exc:
+            print(f"s={s:g}: no fit ({exc})")
+            continue
+        print(f"s={s:g}: slope={fit.slope:.4f} intercept={fit.intercept:.4f} "
+              f"residual={fit.residual:.4f} points={fit.n_points}")
     return EXIT_OK
 
 

@@ -32,7 +32,7 @@ import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -61,7 +61,6 @@ __all__ = [
     "reference_cache_path",
     "l2_error",
     "run_study",
-    "sensitivity_configs",
     "fit_order",
     "fit_xy",
     "median_curve",
@@ -100,14 +99,15 @@ def parse_dyadic(text: str) -> float:
 class StudyConfig:
     """Everything one convergence study needs.
 
-    Validation pins the couplings the sweep relies on: T > 0; every tau and
-    the reference step are powers of two; the parameters of every coarse
-    run and of the reference are valid :class:`~nls2d.splitting.SchemeParams`
-    (so each step divides T, every lattice is even and mu is +1 or -1); the
-    reference step is at least 16 times finer than the finest tau; and the
-    reference lattice holds at least twice the largest coarse grid (4x is
-    recommended and logged when not met), so every coarse field embeds
-    losslessly.
+    Validation pins the couplings the sweep relies on: T > 0; every s, with
+    eps and target_l2, makes a valid :class:`~nls2d.roughdata.RoughDataSpec`;
+    every tau and the reference step are powers of two; the parameters of
+    every coarse run and of the reference are valid
+    :class:`~nls2d.splitting.SchemeParams` (so each step divides T, every
+    lattice is even and mu is +1 or -1); the reference step is at least 16
+    times finer than the finest tau; and the reference lattice holds at
+    least twice the largest coarse grid (4x is recommended and logged when
+    not met), so every coarse field embeds losslessly.
     """
 
     s_values: tuple[float, ...]
@@ -130,8 +130,8 @@ class StudyConfig:
         object.__setattr__(self, "output_dir", Path(self.output_dir))
         if self.cache_dir is not None:
             object.__setattr__(self, "cache_dir", Path(self.cache_dir))
-        if not self.s_values or any(s <= 0.0 for s in self.s_values):
-            raise ValueError("s_values must be a nonempty list of positive numbers")
+        if not self.s_values:
+            raise ValueError("s_values must be nonempty")
         if len(set(self.s_values)) != len(self.s_values):
             raise ValueError("s_values contains duplicates")
         if not self.tau_list:
@@ -154,7 +154,8 @@ class StudyConfig:
             raise ValueError("seeds must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds contains duplicates")
-        self.datum_spec(self.s_values[0], self.seeds[0])  # checks eps and target_l2
+        for s in self.s_values:  # checks every s, eps and target_l2
+            self.datum_spec(s, self.seeds[0])
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         max_n = max(n for _, n in runs)
@@ -399,27 +400,6 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     records.sort(key=lambda r: r.key)
     _write_plots(records, cfg.output_dir)
     return records
-
-
-def sensitivity_configs(
-    cfg: StudyConfig, alternates: Sequence[tuple[int, float]]
-) -> dict[tuple[int, float], StudyConfig]:
-    """The study of each alternative reference (K, tau), under ``output_dir/ref_K{K}_tau{tau}/``.
-
-    Qualitative tool: running each with :func:`run_study` repeats the sweep
-    against another reference resolution, and an under-resolved reference
-    contaminates the small-theta end of the error curve and flattens the
-    fitted order.  An alternate study draws its datum at its own K
-    (:meth:`StudyConfig.datum_spec`), so it judges a different datum, not
-    the same datum against another reference.  Building the configs
-    validates every alternative, so a bad one is rejected before any sweep
-    runs.
-    """
-    return {
-        (k, tau): replace(cfg, grid_reference=k, tau_reference=tau,
-                          output_dir=cfg.output_dir / f"ref_K{k}_tau{tau:g}")
-        for k, tau in alternates
-    }
 
 
 # ---------------------------------------------------------------------------

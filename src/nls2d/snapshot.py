@@ -50,26 +50,30 @@ def staged(path: Path) -> Iterator[Path]:
 
 
 def save_field(coeffs: np.ndarray, path: str | Path) -> None:
-    """Write one (N, N) coefficient array to ``path`` in the snapshot format."""
-    payload = np.ascontiguousarray(coeffs, dtype="<c16").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, coeffs.shape[-1]))
-        fh.write(payload)
+    """Write one (N, N) coefficient array to ``path`` in the snapshot format, by one rename."""
+    _save(coeffs, Path(path))
 
 
 def save_entry(coeffs: np.ndarray, path: Path, key: str) -> None:
     """Write the (N, N) array as the cache entry for ``key`` at ``path``, by one rename.
 
-    An entry is the array's snapshot bytes, written from its buffer, then
-    their 32-byte HMAC-SHA256 under ``key``; :func:`staged` moves it into
-    place, so readers see no entry or the whole one.
+    An entry is the array's snapshot bytes, then their 32-byte HMAC-SHA256
+    under ``key``.
     """
+    _save(coeffs, path, key)
+
+
+def _save(coeffs: np.ndarray, path: Path, key: str | None = None) -> None:
+    """Write the snapshot bytes of ``coeffs`` (the payload from its buffer), then
+    their HMAC under ``key`` if given, through :func:`staged`."""
     payload = np.ascontiguousarray(coeffs, dtype="<c16")
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, payload.shape[-1])
-    checksum = hmac.new(key.encode(), header, "sha256")
-    checksum.update(payload)
+    parts = [_HEADER.pack(MAGIC, FORMAT_VERSION, payload.shape[-1]), payload]
+    if key is not None:
+        checksum = hmac.new(key.encode(), parts[0], "sha256")
+        checksum.update(payload)
+        parts.append(checksum.digest())
     with staged(path) as tmp, open(tmp, "wb") as fh:
-        fh.writelines([header, payload, checksum.digest()])
+        fh.writelines(parts)
 
 
 def load_entry(path: Path, key: str) -> np.ndarray:

@@ -62,12 +62,11 @@ class TestRun:
         snaps = tmp_path / "traj"
         code = main(["run", "--s", "1.0", "--seed", "3", "--tau", "2^-4",
                      "--grid", "8", "--T", "0.25", "--out", str(out),
-                     "--snapshots", str(snaps), "--snapshot-every", "2",
-                     "--run-id", "case"])
+                     "--snapshots", str(snaps), "--snapshot-every", "2"])
         assert code == EXIT_OK
         names = sorted(p.name for p in snaps.glob("*.nls2"))
-        assert names == ["case_0.nls2", "case_2.nls2", "case_4.nls2"]
-        assert np.array_equal(load_field(snaps / "case_4.nls2"), load_field(out))
+        assert names == ["run_0.nls2", "run_2.nls2", "run_4.nls2"]
+        assert np.array_equal(load_field(snaps / "run_4.nls2"), load_field(out))
 
     def test_grid_mismatch_exits_2(self, tmp_path, capsys):
         datum = tmp_path / "wave.nls2"
@@ -156,30 +155,21 @@ workers = 2
         assert len(cached) == 2 and all(n.startswith("ref_") and n.endswith(".entry")
                                         for n in cached)
 
-    def test_out_override_and_sensitivity(self, tmp_path, capsys):
+    def test_out_override(self, tmp_path):
         cfg = tmp_path / "study.cfg"
         cfg.write_text(self.CONFIG.format(out=tmp_path / "ignored", cache=tmp_path / "cache"))
         out_dir = tmp_path / "actual"
-        code = main(["converge", "--config", str(cfg), "--out", str(out_dir),
-                     "--reference-sensitivity", "32:2^-11"])
-        assert code == EXIT_OK
-        text = capsys.readouterr().out
+        assert main(["converge", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_OK
         assert (out_dir / "records.csv").exists()
         assert not (tmp_path / "ignored").exists()
-        assert "ref K=32 tau=" in text
 
-    @pytest.mark.parametrize("alternates", ["64", "16:2^-10", "abc:2^-14"])
-    def test_bad_sensitivity_exits_2_before_sweep(self, tmp_path, capsys, alternates):
-        """Alternative references are validated before the main sweep runs."""
+    def test_nan_smoothness_exits_2_before_writing(self, tmp_path, capsys):
         cfg = tmp_path / "study.cfg"
-        cfg.write_text(self.CONFIG.format(out=tmp_path / "out", cache=tmp_path / "cache"))
-        code = main(["converge", "--config", str(cfg), "--reference-sensitivity", alternates])
-        assert code == EXIT_INVALID
-        err = capsys.readouterr().err
-        assert "error:" in err
-        if alternates in ("64", "abc:2^-14"):  # malformed, not out of range
-            assert f"--reference-sensitivity: bad entry {alternates!r}" in err
-        assert not (tmp_path / "out" / "records.csv").exists()
+        cfg.write_text(self.CONFIG.format(out=tmp_path / "out", cache=tmp_path / "cache")
+                       .replace("s_values = 2.0", "s_values = 1.0, nan"))
+        assert main(["converge", "--config", str(cfg)]) == EXIT_INVALID
+        assert "s must be > 0, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "study.json").exists()
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "study.cfg"

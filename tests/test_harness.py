@@ -17,6 +17,7 @@ import pytest
 
 import nls2d.harness as harness
 import nls2d.snapshot as snapshot
+from nls2d.cli import EXIT_OK, main
 from nls2d.harness import (
     CONFIG_KEYS,
     ConvergenceRecord,
@@ -35,7 +36,6 @@ from nls2d.harness import (
     read_records,
     reference_cache_path,
     run_study,
-    sensitivity_configs,
 )
 from nls2d.roughdata import RoughDataSpec, generate
 from nls2d.spectral import project, restrict, synthesize
@@ -101,6 +101,8 @@ class TestConfigValidation:
         cases = [
             (dict(s_values=()), "nonempty"),
             (dict(s_values=(1.0, 1.0)), "duplicates"),
+            (dict(s_values=(1.0, math.nan)), "s must be > 0"),
+            (dict(s_values=(1.0, -1.0)), "s must be > 0"),
             (dict(tau_list=(0.3,)), "powers of two"),
             (dict(tau_list=(2.0**-4, 2.0**-4)), "duplicates"),
             (dict(t_final=0.3), "integer multiple"),
@@ -582,17 +584,31 @@ class TestRunStudy:
             '}\n'
         )
 
-    def test_reference_sensitivity_writes_subdirs(self, mini_study):
-        cfg, records = mini_study
-        alt = (32, 2.0**-10)
-        configs = sensitivity_configs(cfg, [alt])
-        assert set(configs) == {alt}
-        sub = cfg.output_dir / f"ref_K32_tau{2.0 ** -10:g}"
-        assert configs[alt].output_dir == sub
-        assert (configs[alt].grid_reference, configs[alt].tau_reference) == alt
-        out = run_study(configs[alt])
-        assert (sub / "records.csv").exists()
-        assert len(out) == len(records)
+    def test_alternate_reference_is_a_second_config(self, mini_study, tmp_path):
+        """A weaker reference is the same study with grid_reference, tau_reference
+        and output_dir changed, run by ``nls2d converge``; the first study is untouched."""
+        cfg, _ = mini_study
+        first = [cfg.output_dir / name for name in ("records.csv", "study.json", "plot_s2.csv")]
+        first += sorted(cfg.resolved_cache_dir.iterdir())
+        state = [(p.stat().st_ino, p.read_bytes()) for p in first]
+        alt = tmp_path / "alt"
+        (tmp_path / "alt.cfg").write_text("\n".join([
+            f"s_values = {', '.join(map(repr, cfg.s_values))}",
+            f"tau_list = {', '.join(map(repr, cfg.tau_list))}",
+            f"T = {cfg.t_final!r}",
+            "grid_reference = 32",
+            "tau_reference = 2^-10",
+            f"seeds = {', '.join(map(str, cfg.seeds))}",
+            f"output_dir = {alt}",
+            f"workers = {cfg.workers}",
+        ]) + "\n")
+        assert main(["converge", "--config", str(tmp_path / "alt.cfg")]) == EXIT_OK
+        want = run_study(replace(cfg, grid_reference=32, tau_reference=2.0**-10,
+                                 output_dir=tmp_path / "direct"))
+        got = read_records(alt / "records.csv")
+        assert [replace(r, wall_time=0.0) for r in got] == [
+            replace(r, wall_time=0.0) for r in want]
+        assert [(p.stat().st_ino, p.read_bytes()) for p in first] == state
 
 
 class TestFitting:

@@ -1,11 +1,13 @@
 """Tests for the binary field snapshot format."""
 
 import hmac
+import io
 import struct
 
 import numpy as np
 import pytest
 
+import nls2d.snapshot as snapshot
 from nls2d.snapshot import (
     FORMAT_VERSION, MAGIC, load_entry, load_field, save_entry, save_field,
 )
@@ -53,6 +55,25 @@ class TestSnapshotRoundTrip:
         flat = np.frombuffer(payload, dtype="<f8")
         assert np.array_equal(flat[0::2].reshape(n, n), coeffs.real)
         assert np.array_equal(flat[1::2].reshape(n, n), coeffs.imag)
+
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        """A save that dies part way leaves the previous file whole and no temp file."""
+        path = tmp_path / "field.nls2"
+        save_field(random_field(8), path)
+        old = path.read_bytes()
+
+        class TornWrite(io.FileIO):
+            def write(self, data):  # the header goes through; the payload dies half written
+                if self.tell():
+                    super().write(memoryview(data).cast("B")[:512])
+                    raise OSError("disk full")
+                return super().write(data)
+
+        monkeypatch.setattr(snapshot, "open", TornWrite, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_field(random_field(8), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["field.nls2"]
 
 
 class TestSnapshotErrors:
