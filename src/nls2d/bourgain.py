@@ -34,7 +34,13 @@ The transform window is the trajectory length M; to extend the window by
 zeros, append zero slices to the stack.  Window length matters:
 the zero extension introduces edge transitions whose weighted content
 grows with b, so comparisons across window lengths are only meaningful at
-fixed M.  All probe sweeps here hold M fixed while tau varies.
+fixed M.  The probe sweeps here hold M fixed while tau varies.  That is
+valid for time-rough trajectories, like the synthetic ensemble of
+:func:`probe_ensemble`, whose envelope varies on the step scale at every
+tau.  It is not valid for the scheme's own trajectories, which vary on a
+fixed time scale: at M = 16 their window M*tau shrinks with tau, and
+their ratios grow by up to 14x below tau = 2^-8.  Probe those over a
+fixed time window M*tau instead.
 :func:`probe_ensemble` draws each seed once for every step of a sweep:
 temporally rough probes share one :func:`nls2d.roughdata.generate_stack`
 stack, and free flows take an (M, N, N) phase stack of

@@ -11,9 +11,8 @@ records the L2 distance to the reference at the final time.  The runs
 of one (s, tau) evolve together, as one stack of their seeds.  Each
 finished stack replaces ``records.csv`` whole (sorted, through
 :func:`nls2d.snapshot.staged`), so an interrupted study keeps every
-finished stack and resumes from it; an unterminated last row left by an
-older, appending version is dropped on resume, and a resume refused for a
-different recipe writes nothing.
+finished stack and resumes from it, and a resume refused for a different
+recipe or a malformed ``records.csv`` writes nothing.
 
 Error comparison embeds the coarse field into the reference lattice by
 zero padding, so the distance is the plain L2 norm of the coefficient
@@ -64,9 +63,7 @@ __all__ = [
     "fit_order",
     "fit_xy",
     "median_curve",
-    "export",
     "read_records",
-    "read_plot_data",
     "RECORD_COLUMNS",
 ]
 
@@ -166,8 +163,9 @@ class StudyConfig:
             )
         if self.grid_reference < 4 * max_n:
             logger.warning(
-                "reference lattice %d is below the recommended 4x largest coarse grid %d",
-                self.grid_reference, max_n,
+                "reference lattice %d is below the recommended 4x largest coarse grid %d: "
+                "the fitted slopes then partly measure the reference lattice's cut, "
+                "not the H^s rate", self.grid_reference, max_n,
             )
 
     @property
@@ -243,10 +241,10 @@ def compute_reference(
 
     The reference runs the same integrator with the filter held at the
     lattice identity (``theta = 4/K^2`` for a K-mode datum).  Cache entries
-    (:func:`nls2d.snapshot.save_entry`) are keyed by the digest of the
-    datum's coefficients, the lattice size, step, horizon, sign and
-    integrator version; corrupt or mismatched ones are recomputed with a
-    warning.
+    (:func:`nls2d.snapshot.save_field` and :func:`~nls2d.snapshot.load_field`
+    with ``key``) are keyed by the digest of the datum's coefficients, the
+    lattice size, step, horizon, sign and integrator version; corrupt or
+    mismatched ones are recomputed with a warning.
 
     Returns the reference and its cache path (None without ``cache_dir``).
     Raises :class:`~nls2d.splitting.BlowupError`, caching nothing, if the
@@ -257,7 +255,7 @@ def compute_reference(
     if cache_dir is not None:
         path = reference_cache_path(cache_dir, key)
         try:
-            return snapshot.load_entry(path, key), path
+            return snapshot.load_field(path, key), path
         except FileNotFoundError:
             pass  # a miss
         except (OSError, ValueError) as exc:
@@ -269,7 +267,7 @@ def compute_reference(
         raise BlowupError(int(blowup))
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        snapshot.save_entry(final, path, key)
+        snapshot.save_field(final, path, key)
     return final, path
 
 
@@ -337,21 +335,15 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     whole sorted table of the rows so far, keyed by (s, tau, seed), so an
     interrupted sweep keeps every finished stack and the file is never
     torn.  Rerunning with the same recipe skips completed rows, including
-    failed ones; an unterminated last row (left by an older, appending
-    version) is dropped and recomputed.  Rows resume only under the
-    recipe in ``study.json`` (adding an s, a tau or a seed still resumes);
-    a different one raises ValueError before anything is written.  On
-    completion each plot file is written unless it already holds the
-    right bytes, so a full resume writes nothing.
+    failed ones.  Rows resume only under the recipe in ``study.json``
+    (adding an s, a tau or a seed still resumes); a different one, or a
+    malformed ``records.csv``, raises ValueError before anything is
+    written.  On completion each plot file is written unless it already
+    holds the right bytes, so a full resume writes nothing.
     """
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     records_path = cfg.output_dir / "records.csv"
-    existing = []
-    if records_path.exists():
-        # Drop an unterminated (torn) last row in memory only, so that a
-        # refused resume leaves the file as it found it.
-        text = records_path.read_text()
-        existing = _parse_records(text[: text.rfind("\n") + 1].splitlines(), records_path)
+    existing = read_records(records_path) if records_path.exists() else []
     _claim_output_dir(cfg, bool(existing))
     done = {rec.key for rec in existing}
 
@@ -451,26 +443,10 @@ def fit_order(records: Iterable[ConvergenceRecord], s: float | None = None) -> O
     return fit_xy(*median_curve(records))
 
 
-def export(records: Sequence[ConvergenceRecord], out_dir: str | Path) -> list[Path]:
-    """Write the sorted records CSV plus one plot-data file per s.
-
-    Returns the records and plot files' paths.  Plot files hold two
-    columns (log2_theta, log2_median_error) and round-trip the fit exactly;
-    one that already holds those bytes is left as it is.  Each file is
-    written to a temp file and renamed into place, so a failed export
-    leaves the previous file whole.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "records.csv"
-    _write_records(records, path)
-    return [path, *_write_plots(records, out_dir)]
-
-
-def _write_plots(records: Sequence[ConvergenceRecord], out_dir: Path) -> list[Path]:
-    """Write the plot-data file of every s in ``records``, keeping a file that
-    already holds the same bytes; returns the plot files' paths."""
-    paths = []
+def _write_plots(records: Sequence[ConvergenceRecord], out_dir: Path) -> None:
+    """Write the plot-data file of every s in ``records``: two columns
+    (log2_theta, log2_median_error) that round-trip the fit exactly.  A file
+    that already holds those bytes is left as it is."""
     for s in sorted({r.s for r in records}):
         path = out_dir / f"plot_s{s:g}.csv"
         x, y = median_curve([r for r in records if r.s == s])
@@ -482,23 +458,20 @@ def _write_plots(records: Sequence[ConvergenceRecord], out_dir: Path) -> list[Pa
         if not path.is_file() or path.read_bytes() != data:
             with snapshot.staged(path) as tmp:
                 tmp.write_bytes(data)
-        paths.append(path)
-    return paths
 
 
 def read_records(path: str | Path) -> list[ConvergenceRecord]:
-    """Parse a records CSV back into record objects."""
+    """Parse a records CSV back into record objects.
+
+    Raises ValueError naming ``path`` on a header other than
+    :data:`RECORD_COLUMNS` or a row without one field per column.
+    """
     with open(path, "r", newline="") as fh:
-        return _parse_records(fh, path)
-
-
-def _parse_records(lines: Iterable[str], path: str | Path) -> list[ConvergenceRecord]:
+        rows = list(csv.reader(fh))
+    if rows and tuple(rows[0]) != RECORD_COLUMNS:
+        raise ValueError(f"{path}: unexpected header {rows[0]}")
     out: list[ConvergenceRecord] = []
-    reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is not None and tuple(header) != RECORD_COLUMNS:
-        raise ValueError(f"{path}: unexpected header {header}")
-    for row in reader:
+    for row in rows[1:]:
         if not row:
             continue
         if len(row) != len(RECORD_COLUMNS):
@@ -509,22 +482,6 @@ def _parse_records(lines: Iterable[str], path: str | Path) -> list[ConvergenceRe
             l2_error=float(row[5]), wall_time=float(row[6]),
         ))
     return out
-
-
-def read_plot_data(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a plot-data file back into (log2_theta, log2_median_error)."""
-    xs: list[float] = []
-    ys: list[float] = []
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["log2_theta", "log2_median_error"]:
-            raise ValueError(f"{path}: unexpected header {header}")
-        for row in reader:
-            if row:
-                xs.append(float(row[0]))
-                ys.append(float(row[1]))
-    return np.array(xs), np.array(ys)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,7 @@ import numpy as np
 
 from .spectral import NonFiniteFieldError
 
-__all__ = ["MAGIC", "FORMAT_VERSION", "save_field", "load_field", "save_entry", "load_entry",
-           "staged"]
+__all__ = ["MAGIC", "FORMAT_VERSION", "save_field", "load_field", "staged"]
 
 MAGIC = b"NLS2"
 FORMAT_VERSION = 1
@@ -49,55 +48,41 @@ def staged(path: Path) -> Iterator[Path]:
         tmp.unlink(missing_ok=True)
 
 
-def save_field(coeffs: np.ndarray, path: str | Path) -> None:
-    """Write one (N, N) coefficient array to ``path`` in the snapshot format, by one rename."""
-    _save(coeffs, Path(path))
+def save_field(coeffs: np.ndarray, path: str | Path, key: str | None = None) -> None:
+    """Write one (N, N) coefficient array to ``path`` in the snapshot format, by one rename.
 
-
-def save_entry(coeffs: np.ndarray, path: Path, key: str) -> None:
-    """Write the (N, N) array as the cache entry for ``key`` at ``path``, by one rename.
-
-    An entry is the array's snapshot bytes, then their 32-byte HMAC-SHA256
-    under ``key``.
+    With ``key`` the file is a cache entry: the snapshot bytes, then their
+    32-byte HMAC-SHA256 under ``key``.  The payload is written from the
+    array's buffer.
     """
-    _save(coeffs, path, key)
-
-
-def _save(coeffs: np.ndarray, path: Path, key: str | None = None) -> None:
-    """Write the snapshot bytes of ``coeffs`` (the payload from its buffer), then
-    their HMAC under ``key`` if given, through :func:`staged`."""
     payload = np.ascontiguousarray(coeffs, dtype="<c16")
     parts = [_HEADER.pack(MAGIC, FORMAT_VERSION, payload.shape[-1]), payload]
     if key is not None:
         checksum = hmac.new(key.encode(), parts[0], "sha256")
         checksum.update(payload)
         parts.append(checksum.digest())
-    with staged(path) as tmp, open(tmp, "wb") as fh:
+    with staged(Path(path)) as tmp, open(tmp, "wb") as fh:
         fh.writelines(parts)
 
 
-def load_entry(path: Path, key: str) -> np.ndarray:
-    """The array of the entry for ``key`` at ``path``, decoded from the one read it checked.
+def load_field(path: str | Path, key: str | None = None) -> np.ndarray:
+    """Read the (N, N) array written by :func:`save_field` with the same ``key``.
 
-    Raises ValueError naming ``path`` if the checksum does not match ``key`` and the bytes.
+    With ``key`` the checksum is checked and the array decoded from that one
+    read; a mismatch raises ValueError naming ``path``.  Raises ValueError
+    naming ``path`` on a bad header, odd or too small N, or a payload of the
+    wrong length; NonFiniteFieldError on NaN or Inf.
     """
-    blob = memoryview(path.read_bytes())
-    if blob[-32:] != hmac.digest(key.encode(), blob[:-32], "sha256"):
-        raise ValueError(f"{path} is corrupt or keyed to a different run")
-    return _decode_field(blob[:-32], path)
-
-
-def load_field(path: str | Path) -> np.ndarray:
-    """Read the (N, N) array written by :func:`save_field`.
-
-    Raises ValueError naming ``path`` on a bad header, odd or too small N,
-    or a payload of the wrong length; NonFiniteFieldError on NaN or Inf.
-    """
-    return _decode_field(Path(path).read_bytes(), path)
+    blob = memoryview(Path(path).read_bytes())
+    if key is not None:
+        if blob[-32:] != hmac.digest(key.encode(), blob[:-32], "sha256"):
+            raise ValueError(f"{path} is corrupt or keyed to a different run")
+        blob = blob[:-32]
+    return _decode_field(blob, path)
 
 
 def _decode_field(blob: bytes | memoryview, source: str | Path) -> np.ndarray:
-    """:func:`load_field` on the bytes ``blob`` already read from ``source``."""
+    """The array in the snapshot bytes ``blob`` read from ``source``."""
     if len(blob) < _HEADER.size:
         raise ValueError(f"{source}: truncated snapshot header")
     magic, version, n = _HEADER.unpack_from(blob)

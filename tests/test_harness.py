@@ -1,11 +1,13 @@
 """Tests for the convergence-study harness."""
 
+import csv
 import hashlib
 import io
 import json
 import logging
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -17,14 +19,13 @@ import pytest
 
 import nls2d.harness as harness
 import nls2d.snapshot as snapshot
-from nls2d.cli import EXIT_OK, main
+from nls2d.cli import EXIT_INVALID, EXIT_OK, main
 from nls2d.harness import (
     CONFIG_KEYS,
     ConvergenceRecord,
     RECORD_COLUMNS,
     StudyConfig,
     compute_reference,
-    export,
     fit_order,
     fit_xy,
     grid_for_tau,
@@ -32,7 +33,6 @@ from nls2d.harness import (
     median_curve,
     parse_config_file,
     parse_dyadic,
-    read_plot_data,
     read_records,
     reference_cache_path,
     run_study,
@@ -206,8 +206,6 @@ class TestReference:
         reads = []
         real_read = Path.read_bytes
         monkeypatch.setattr(Path, "read_bytes", lambda p: reads.append(p) or real_read(p))
-        monkeypatch.setattr(snapshot, "load_field",
-                            lambda *a, **k: pytest.fail("a cache hit must not read the payload twice"))
         monkeypatch.setattr(harness, "evolve",
                             lambda *a, **k: pytest.fail("a cache hit must not recompute"))
         second, _ = compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
@@ -223,13 +221,13 @@ class TestReference:
             second, _ = compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
         assert any("corrupt" in r.message for r in caplog.records)
         assert np.array_equal(first, second)
-        assert snapshot.load_entry(path, harness._reference_key(
+        assert snapshot.load_field(path, harness._reference_key(
             self.DATUM, 2.0**-6, 0.25, -1)).tobytes() == first.tobytes()
 
     def test_foreign_key_recomputed(self, tmp_path, monkeypatch, caplog):
         """An intact entry written under another key is a mismatch, not a hit."""
         first, path = compute_reference(self.DATUM, 2.0**-6, 0.25, cache_dir=tmp_path)
-        snapshot.save_entry(first, path, "scheme=9|another run")
+        snapshot.save_field(first, path, "scheme=9|another run")
         calls = []
         real = harness.evolve
         monkeypatch.setattr(harness, "evolve", lambda *a, **k: calls.append(1) or real(*a, **k))
@@ -296,6 +294,22 @@ class TestReference:
         ref, _ = compute_reference(datum, tau, 0.25)
         final = evolve_field(datum, SchemeParams(tau=tau, n_modes=16, mu=-1, t_final=0.25))
         assert l2_error(final, ref) == 0.0
+
+
+def write_config(path: Path, cfg: StudyConfig) -> Path:
+    """Write ``cfg`` as a config file for ``nls2d converge`` (default mu, eps,
+    target_l2 and cache_dir)."""
+    path.write_text("\n".join([
+        f"s_values = {', '.join(map(repr, cfg.s_values))}",
+        f"tau_list = {', '.join(map(repr, cfg.tau_list))}",
+        f"T = {cfg.t_final!r}",
+        f"grid_reference = {cfg.grid_reference}",
+        f"tau_reference = {cfg.tau_reference!r}",
+        f"seeds = {', '.join(map(str, cfg.seeds))}",
+        f"output_dir = {cfg.output_dir}",
+        f"workers = {cfg.workers}",
+    ]) + "\n")
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -392,7 +406,10 @@ class TestRunStudy:
 
     def test_plot_data_refits_identically(self, mini_study):
         cfg, records = mini_study
-        x, y = read_plot_data(cfg.output_dir / "plot_s2.csv")
+        with open(cfg.output_dir / "plot_s2.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["log2_theta", "log2_median_error"]
+        x, y = np.array(rows, dtype=np.float64).T
         assert fit_xy(x, y) == fit_order(records)
 
     def test_full_resume_recomputes_nothing(self, mini_study, monkeypatch):
@@ -425,7 +442,9 @@ class TestRunStudy:
     def test_partial_resume_fills_only_gaps(self, mini_study, monkeypatch):
         cfg, records = mini_study
         gap = (2.0, 2.0**-5, 2)
-        export([r for r in records if r.key != gap], cfg.output_dir)
+        gapped = [r for r in records if r.key != gap]
+        harness._write_records(gapped, cfg.output_dir / "records.csv")
+        harness._write_plots(gapped, cfg.output_dir)
         plot = cfg.output_dir / "plot_s2.csv"
         inode = plot.stat().st_ino
         stacks = []
@@ -440,52 +459,56 @@ class TestRunStudy:
         assert redone.l2_error == original.l2_error
         assert plot.stat().st_ino != inode  # the gap's row changed the plot, so it is rewritten
 
-    def test_torn_last_row_recomputed(self, mini_study, monkeypatch):
-        """A row cut short by a kill mid-write is dropped and redone alone."""
-        cfg, records = mini_study
-        path = cfg.output_dir / "records.csv"
+    def test_truncated_records_refused(self, mini_study, tmp_path, monkeypatch, capsys):
+        """A records.csv cut short by hand is refused before anything runs or is
+        written, by run_study and by ``nls2d converge`` (exit 2)."""
+        cfg, _ = mini_study
+        out = tmp_path / "copy"
+        shutil.copytree(cfg.output_dir, out)
+        copy = replace(cfg, output_dir=out)
+        path = out / "records.csv"
         text = path.read_bytes()
         last_row = text.rstrip(b"\r\n").rfind(b"\n") + 1
         path.write_bytes(text[: last_row + 10])
-        stacks = []
-        real = harness.evolve
-        monkeypatch.setattr(harness, "evolve",
-                            lambda u0, p, **k: stacks.append(len(u0)) or real(u0, p, **k))
-        resumed = run_study(cfg)
-        assert stacks == [1]  # the torn row; the reference came from cache
-        assert [r.key for r in resumed] == [r.key for r in records]
-        assert [r.l2_error for r in resumed] == [r.l2_error for r in records]
+        monkeypatch.setattr(harness, "evolve", lambda *a, **k: pytest.fail("nothing may run"))
+        monkeypatch.setattr(harness, "generate", lambda *a, **k: pytest.fail("nothing may run"))
+
+        def state():
+            return {p: (p.stat().st_ino, p.read_bytes()) for p in out.rglob("*")
+                    if p.is_file()}
+
+        before = state()
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed row")):
+            run_study(copy)
+        assert state() == before
+        assert main(["converge", "--config", str(write_config(tmp_path / "copy.cfg", copy))]) \
+            == EXIT_INVALID
+        assert "malformed row" in capsys.readouterr().err
+        assert state() == before
 
     def test_resume_refuses_another_recipe(self, mini_study, tmp_path, monkeypatch):
         """Rows resume only under the recipe recorded in study.json, and a
-        refused resume leaves records.csv as it was, torn last row and all."""
+        refused resume leaves records.csv as it was."""
         cfg, records = mini_study
         out = tmp_path / "copy"
         shutil.copytree(cfg.output_dir, out)
         copy = replace(cfg, output_dir=out)  # the copied cache holds the references
         path = out / "records.csv"
-
-        def tear() -> bytes:
-            torn = path.read_bytes()[:-5]
-            path.write_bytes(torn)
-            return torn
-
-        torn = tear()
+        before = path.read_bytes()
         with pytest.raises(ValueError, match=r"differing: T\)"):
             run_study(replace(copy, t_final=0.5))
-        assert path.read_bytes() == torn
+        assert path.read_bytes() == before
         stacks = []
         real = harness.evolve
         monkeypatch.setattr(harness, "evolve",
                             lambda u0, p, **k: stacks.append(len(u0)) or real(u0, p, **k))
         resumed = run_study(replace(copy, tau_list=copy.tau_list + (2.0**-3,)))
-        # the torn row alone, and both seeds of the new tau as one stack
-        assert sorted(stacks) == [1, 2] and len(resumed) == len(records) + 2
-        torn = tear()
+        assert stacks == [2] and len(resumed) == len(records) + 2  # both seeds of the new tau
+        before = path.read_bytes()
         (out / "study.json").unlink()
         with pytest.raises(ValueError, match="no study.json"):
             run_study(copy)
-        assert path.read_bytes() == torn
+        assert path.read_bytes() == before
 
     def test_interrupted_sweep_keeps_finished_rows(self, tmp_path, monkeypatch):
         """A stack that raises loses only its own rows; the rerun redoes it alone."""
@@ -532,12 +555,12 @@ class TestRunStudy:
         with pytest.raises(OSError, match="killed"):
             run_study(wider)  # (1, 2^-3) finished, (2, 2^-3) did not
         monkeypatch.setattr(harness, "evolve", real)
-        records = run_study(wider)
-        assert len(records) == 8
-        export(records, tmp_path / "export")
+        assert len(run_study(wider)) == 8
+        fresh = replace(wider, output_dir=tmp_path / "fresh", cache_dir=cfg.resolved_cache_dir)
+        run_study(fresh)  # the same study, never interrupted
         for s in ("1", "2"):
             name = f"plot_s{s}.csv"
-            assert (cfg.output_dir / name).read_bytes() == (tmp_path / "export" / name).read_bytes()
+            assert (cfg.output_dir / name).read_bytes() == (fresh.output_dir / name).read_bytes()
 
     def test_stacked_rows_match_per_seed_runs(self, tmp_path):
         """Each record of a 3-seed study is that of its own run, measured by embedding."""
@@ -591,21 +614,12 @@ class TestRunStudy:
         first = [cfg.output_dir / name for name in ("records.csv", "study.json", "plot_s2.csv")]
         first += sorted(cfg.resolved_cache_dir.iterdir())
         state = [(p.stat().st_ino, p.read_bytes()) for p in first]
-        alt = tmp_path / "alt"
-        (tmp_path / "alt.cfg").write_text("\n".join([
-            f"s_values = {', '.join(map(repr, cfg.s_values))}",
-            f"tau_list = {', '.join(map(repr, cfg.tau_list))}",
-            f"T = {cfg.t_final!r}",
-            "grid_reference = 32",
-            "tau_reference = 2^-10",
-            f"seeds = {', '.join(map(str, cfg.seeds))}",
-            f"output_dir = {alt}",
-            f"workers = {cfg.workers}",
-        ]) + "\n")
-        assert main(["converge", "--config", str(tmp_path / "alt.cfg")]) == EXIT_OK
-        want = run_study(replace(cfg, grid_reference=32, tau_reference=2.0**-10,
-                                 output_dir=tmp_path / "direct"))
-        got = read_records(alt / "records.csv")
+        alt = replace(cfg, grid_reference=32, tau_reference=2.0**-10,
+                      output_dir=tmp_path / "alt")
+        assert main(["converge", "--config", str(write_config(tmp_path / "alt.cfg", alt))]) \
+            == EXIT_OK
+        want = run_study(replace(alt, output_dir=tmp_path / "direct"))
+        got = read_records(alt.output_dir / "records.csv")
         assert [replace(r, wall_time=0.0) for r in got] == [
             replace(r, wall_time=0.0) for r in want]
         assert [(p.stat().st_ino, p.read_bytes()) for p in first] == state
@@ -664,34 +678,38 @@ class TestFitting:
 
 class TestSerialization:
     def test_export_read_round_trip(self, tmp_path):
+        """records.csv holds its rows sorted by key, and read_records returns them."""
         recs = TestFitting.synthetic(0.5)
-        paths = export(recs, tmp_path)
-        assert paths[0].name == "records.csv"
-        assert read_records(paths[0]) == sorted(recs, key=lambda r: r.key)
+        path = tmp_path / "records.csv"
+        harness._write_records(reversed(recs), path)
+        assert read_records(path) == sorted(recs, key=lambda r: r.key)
 
-    def test_failed_export_keeps_previous_files(self, tmp_path, monkeypatch):
-        """An export that dies part way leaves the last whole export in place."""
-        recs = TestFitting.synthetic(0.5)
-        export(recs, tmp_path)
-        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    def test_export_empty_table(self, tmp_path):
+        """An empty table is written as the header alone and reads back as []."""
+        path = tmp_path / "records.csv"
+        harness._write_records([], path)
+        assert path.read_text().strip() == ",".join(RECORD_COLUMNS)
+        assert read_records(path) == []
+
+    def test_failed_records_write_keeps_previous_file(self, mini_study, tmp_path, monkeypatch):
+        """A records.csv write that dies part way leaves every file of the study
+        as it was, and no temp file."""
+        cfg, records = mini_study
+        out = tmp_path / "copy"
+        shutil.copytree(cfg.output_dir, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
         real, rows = harness._record_row, []
 
         def dies_halfway(rec):
-            if len(rows) == len(recs) // 2:
+            if len(rows) == len(records) // 2:
                 raise OSError("disk full")
             rows.append(rec)
             return real(rec)
 
         monkeypatch.setattr(harness, "_record_row", dies_halfway)
         with pytest.raises(OSError, match="disk full"):
-            export(recs, tmp_path)
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-
-    def test_export_empty_table(self, tmp_path):
-        paths = export([], tmp_path)
-        assert [p.name for p in paths] == ["records.csv"]
-        assert paths[0].read_text().strip() == ",".join(RECORD_COLUMNS)
-        assert read_records(paths[0]) == []
+            run_study(replace(cfg, output_dir=out, tau_list=cfg.tau_list + (2.0**-3,)))
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
 
     def test_read_records_rejects_bad_header(self, tmp_path):
         p = tmp_path / "records.csv"
@@ -704,12 +722,6 @@ class TestSerialization:
         p.write_text(",".join(RECORD_COLUMNS) + "\n1.0,0.25\n")
         with pytest.raises(ValueError, match="malformed row"):
             read_records(p)
-
-    def test_read_plot_data_rejects_bad_header(self, tmp_path):
-        p = tmp_path / "plot.csv"
-        p.write_text("x,y\n0.0,0.0\n")
-        with pytest.raises(ValueError, match="unexpected header"):
-            read_plot_data(p)
 
 
 class TestConfigFile:

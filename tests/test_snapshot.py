@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 import nls2d.snapshot as snapshot
-from nls2d.snapshot import (
-    FORMAT_VERSION, MAGIC, load_entry, load_field, save_entry, save_field,
-)
+from nls2d.snapshot import FORMAT_VERSION, MAGIC, load_field, save_field
 
 RNG = np.random.default_rng(99)
 
@@ -115,22 +113,22 @@ class TestCacheEntry:
         save_field(f, tmp_path / "plain.nls2")
         plain = (tmp_path / "plain.nls2").read_bytes()
         path = tmp_path / "ref.entry"
-        save_entry(np.asfortranarray(f), path, "key-a")
+        save_field(np.asfortranarray(f), path, "key-a")
         assert path.read_bytes() == plain + hmac.digest(b"key-a", plain, "sha256")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.nls2", "ref.entry"]
-        back = load_entry(path, "key-a")
+        back = load_field(path, "key-a")
         assert back.dtype == np.complex128 and np.array_equal(back, f)
 
     def test_other_key_or_short_file_rejected(self, tmp_path):
         path = tmp_path / "ref.entry"
-        save_entry(random_field(4), path, "key-a")
+        save_field(random_field(4), path, "key-a")
         with pytest.raises(ValueError, match="corrupt or keyed to a different run"):
-            load_entry(path, "key-b")
+            load_field(path, "key-b")
         path.write_bytes(path.read_bytes()[:20])
         with pytest.raises(ValueError, match="corrupt"):
-            load_entry(path, "key-a")
+            load_field(path, "key-a")
         with pytest.raises(FileNotFoundError):
-            load_entry(tmp_path / "none.entry", "key-a")
+            load_field(tmp_path / "none.entry", "key-a")
 
 
 if __name__ == "__main__":
