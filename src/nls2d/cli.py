@@ -21,7 +21,7 @@ import numpy as np
 from . import bourgain, harness, snapshot
 from .roughdata import RoughDataSpec, generate
 from .spectral import l2_norm
-from .splitting import BlowupError, SchemeParams, evolve
+from .splitting import BlowupError, SchemeParams, default_theta, evolve
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -54,9 +54,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="one solver run, writing the final snapshot")
     _datum_args(p, required=False)
-    p.add_argument("--in", dest="datum_in", type=Path, help="datum snapshot (instead of --s/--seed)")
+    lattice = p.add_mutually_exclusive_group()
+    lattice.add_argument("--in", dest="datum_in", type=Path,
+                         help="datum snapshot, whose lattice the run takes (instead of --s/--seed)")
+    lattice.add_argument("--grid", type=int, help="lattice size N of a generated datum")
     p.add_argument("--tau", type=harness.parse_dyadic, required=True, help="time step (accepts 2^-10)")
-    p.add_argument("--grid", type=int, required=True, help="lattice size N")
     p.add_argument("--T", type=harness.parse_dyadic, required=True, help="final time")
     p.add_argument("--mu", type=int, default=-1, choices=(-1, 1), help="nonlinearity sign")
     p.add_argument("--theta-override", type=harness.parse_dyadic, default=None,
@@ -112,14 +114,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.datum_in is not None:
         u0 = snapshot.load_field(args.datum_in)
-        if u0.shape[-1] != args.grid:
-            raise ValueError(f"snapshot lattice {u0.shape[-1]} does not match --grid {args.grid}")
+    elif args.s is None or args.seed is None or args.grid is None:
+        raise ValueError("run needs either --in or all of --s, --seed and --grid")
     else:
-        if args.s is None or args.seed is None:
-            raise ValueError("run needs either --in or both --s and --seed")
         u0 = _datum(args, args.grid)
-    params = SchemeParams(tau=args.tau, n_modes=args.grid, mu=args.mu,
-                          t_final=args.T, theta=args.theta_override)
+    theta = args.theta_override
+    if theta is None:
+        theta = default_theta(args.tau, u0.shape[-1])
+    params = SchemeParams(tau=args.tau, mu=args.mu, t_final=args.T, theta=theta)
     observer = None
     if args.snapshots is not None:
         args.snapshots.mkdir(parents=True, exist_ok=True)

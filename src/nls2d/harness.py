@@ -70,6 +70,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 RECORD_COLUMNS = ("s", "tau", "N", "theta", "seed", "l2_error", "wall_time")
+_RECORD_PARSERS = (float, float, int, float, int, float, float)  # one per column
+_PLOT_NAME = "plot_s{:g}.csv"  # one per s value, so no two s values may share one
 
 
 def grid_for_tau(tau: float) -> int:
@@ -97,14 +99,15 @@ class StudyConfig:
     """Everything one convergence study needs.
 
     Validation pins the couplings the sweep relies on: T > 0; every s, with
-    eps and target_l2, makes a valid :class:`~nls2d.roughdata.RoughDataSpec`;
+    eps, target_l2 and the reference lattice, makes a valid
+    :class:`~nls2d.roughdata.RoughDataSpec` (so that lattice is even);
     every tau and the reference step are powers of two; the parameters of
     every coarse run and of the reference are valid
-    :class:`~nls2d.splitting.SchemeParams` (so each step divides T, every
-    lattice is even and mu is +1 or -1); the reference step is at least 16
-    times finer than the finest tau; and the reference lattice holds at
-    least twice the largest coarse grid (4x is recommended and logged when
-    not met), so every coarse field embeds losslessly.
+    :class:`~nls2d.splitting.SchemeParams` (so each step divides T and mu
+    is +1 or -1); the reference step is at least 16 times finer than the
+    finest tau; the reference lattice holds at least twice the largest
+    coarse grid (4x is recommended and logged when not met), so every
+    coarse field embeds losslessly; and no two s values share a plot file.
     """
 
     s_values: tuple[float, ...]
@@ -121,41 +124,37 @@ class StudyConfig:
     workers: int = 4
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "s_values", tuple(float(s) for s in self.s_values))
-        object.__setattr__(self, "tau_list", tuple(float(t) for t in self.tau_list))
-        object.__setattr__(self, "seeds", tuple(int(x) for x in self.seeds))
+        for name, kind in (("s_values", float), ("tau_list", float), ("seeds", int)):
+            values = tuple(kind(v) for v in getattr(self, name))
+            object.__setattr__(self, name, values)
+            if not values:
+                raise ValueError(f"{name} must be nonempty")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} contains duplicates")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
         if self.cache_dir is not None:
             object.__setattr__(self, "cache_dir", Path(self.cache_dir))
-        if not self.s_values:
-            raise ValueError("s_values must be nonempty")
-        if len(set(self.s_values)) != len(self.s_values):
-            raise ValueError("s_values contains duplicates")
-        if not self.tau_list:
-            raise ValueError("tau_list must be nonempty")
-        if len(set(self.tau_list)) != len(self.tau_list):
-            raise ValueError("tau_list contains duplicates")
         if not (self.t_final > 0.0):
             raise ValueError(f"T must be positive, got {self.t_final}")
-        runs = [(tau, grid_for_tau(tau)) for tau in self.tau_list]
-        for tau, n in [*runs, (self.tau_reference, self.grid_reference)]:
+        for tau in (*self.tau_list, self.tau_reference):
             if math.frexp(tau)[0] != 0.5:  # 0.5 for positive finite powers of two only
                 raise ValueError(f"tau_list and tau_reference must be powers of two, got {tau}")
-            SchemeParams(tau, n, self.mu, self.t_final)
+            SchemeParams(tau, self.mu, self.t_final)
         if self.tau_reference > min(self.tau_list) / 16.0:
             raise ValueError(
                 f"reference tau {self.tau_reference} must be <= min(tau_list)/16 "
                 f"= {min(self.tau_list) / 16.0}"
             )
-        if not self.seeds:
-            raise ValueError("seeds must be nonempty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("seeds contains duplicates")
-        for s in self.s_values:  # checks every s, eps and target_l2
+        plots: dict[str, float] = {}
+        for s in self.s_values:  # checks every s, eps, target_l2 and the reference lattice
             self.datum_spec(s, self.seeds[0])
+            other = plots.setdefault(_PLOT_NAME.format(s), s)
+            if other != s:
+                raise ValueError(f"s values {other!r} and {s!r} share the plot file "
+                                 f"{_PLOT_NAME.format(s)}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        max_n = max(n for _, n in runs)
+        max_n = max(grid_for_tau(tau) for tau in self.tau_list)
         if self.grid_reference < 2 * max_n:
             raise ValueError(
                 f"reference lattice {self.grid_reference} must be at least twice "
@@ -261,8 +260,7 @@ def compute_reference(
         except (OSError, ValueError) as exc:
             logger.warning("reference cache unusable (%s); recomputing", exc)
     n = u0.shape[-1]
-    params = SchemeParams(tau=tau_ref, n_modes=n, mu=mu, t_final=t_final, theta=4.0 / (n * n))
-    final, blowup = evolve(u0, params)
+    final, blowup = evolve(u0, SchemeParams(tau_ref, mu, t_final, theta=4.0 / (n * n)))
     if blowup >= 0:
         raise BlowupError(int(blowup))
     if path is not None:
@@ -371,7 +369,7 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
             theta = default_theta(tau, n)
             u0 = np.stack([restrict(data[(s, x)], n) for x in seeds])
             start = time.perf_counter()
-            finals, blowup = evolve(u0, SchemeParams(tau, n, cfg.mu, cfg.t_final))
+            finals, blowup = evolve(u0, SchemeParams(tau, cfg.mu, cfg.t_final))
             errors = []
             for seed, final, step in zip(seeds, finals, blowup):
                 if step >= 0:
@@ -448,7 +446,7 @@ def _write_plots(records: Sequence[ConvergenceRecord], out_dir: Path) -> None:
     (log2_theta, log2_median_error) that round-trip the fit exactly.  A file
     that already holds those bytes is left as it is."""
     for s in sorted({r.s for r in records}):
-        path = out_dir / f"plot_s{s:g}.csv"
+        path = out_dir / _PLOT_NAME.format(s)
         x, y = median_curve([r for r in records if r.s == s])
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -464,10 +462,15 @@ def read_records(path: str | Path) -> list[ConvergenceRecord]:
     """Parse a records CSV back into record objects.
 
     Raises ValueError naming ``path`` on a header other than
-    :data:`RECORD_COLUMNS` or a row without one field per column.
+    :data:`RECORD_COLUMNS`, on a last row without a line break (a cut inside
+    a number would read as a shorter number), and, naming the row, on a row
+    without one parsable field per column.
     """
     with open(path, "r", newline="") as fh:
-        rows = list(csv.reader(fh))
+        text = fh.read()
+    if text and not text.endswith("\n"):
+        raise ValueError(f"{path}: last row is cut short")
+    rows = list(csv.reader(io.StringIO(text)))
     if rows and tuple(rows[0]) != RECORD_COLUMNS:
         raise ValueError(f"{path}: unexpected header {rows[0]}")
     out: list[ConvergenceRecord] = []
@@ -476,11 +479,10 @@ def read_records(path: str | Path) -> list[ConvergenceRecord]:
             continue
         if len(row) != len(RECORD_COLUMNS):
             raise ValueError(f"{path}: malformed row {row}")
-        out.append(ConvergenceRecord(
-            s=float(row[0]), tau=float(row[1]), n_modes=int(row[2]),
-            theta=float(row[3]), seed=int(row[4]),
-            l2_error=float(row[5]), wall_time=float(row[6]),
-        ))
+        try:
+            out.append(ConvergenceRecord(*(parse(v) for parse, v in zip(_RECORD_PARSERS, row))))
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed row {row}: {exc}") from None
     return out
 
 

@@ -7,8 +7,8 @@ exact free flow over one step.  The interpolation deliberately folds grid
 products back onto the mode lattice; no dealiasing is applied anywhere, and
 the filter width is controlled by ``theta`` alone.  :func:`evolve` filters
 the datum once and runs the steps as one loop over a (..., N, N)
-coefficient array, which may hold a stack of data; it takes and returns
-arrays only, like every function of :mod:`nls2d.spectral`.
+coefficient array, which may hold a stack of data and sets N; it takes
+and returns arrays only, like every function of :mod:`nls2d.spectral`.
 Its free-flow phase is :func:`nls2d.spectral.free_phase`, shared with ``bourgain``.
 
 The state after every step is invariant under the filter, and the discrete
@@ -61,20 +61,17 @@ class SchemeParams:
     ----------
     tau : float
         Time step, > 0.
-    n_modes : int
-        Lattice size N (even, >= 2).
     mu : int
         Nonlinearity sign, +1 focusing or -1 defocusing.
     t_final : float
         End time; must be an integer multiple of tau (within one ulp).
     theta : float, optional
-        Filter parameter.  Defaults to ``max(tau, 4/N^2)``; override only
-        for controlled experiments (e.g. reference runs keep the filter at
-        the lattice identity).
+        Filter parameter, or None for ``max(tau, 4/N^2)`` on the lattice of
+        the datum :func:`evolve` steps; override only for controlled
+        experiments (e.g. reference runs keep the filter at the lattice identity).
     """
 
     tau: float
-    n_modes: int
     mu: int
     t_final: float
     theta: float | None = None
@@ -82,15 +79,11 @@ class SchemeParams:
     def __post_init__(self) -> None:
         if not (self.tau > 0.0) or not math.isfinite(self.tau):
             raise ValueError(f"tau must be a positive finite number, got {self.tau}")
-        if self.n_modes < 2 or self.n_modes % 2 != 0:
-            raise ValueError(f"n_modes must be an even integer >= 2, got {self.n_modes}")
         if self.mu not in (-1, 1):
             raise ValueError(f"mu must be +1 or -1, got {self.mu}")
         if self.t_final < 0.0 or not math.isfinite(self.t_final):
             raise ValueError(f"t_final must be finite and >= 0, got {self.t_final}")
-        if self.theta is None:
-            object.__setattr__(self, "theta", default_theta(self.tau, self.n_modes))
-        elif not (self.theta > 0.0) or not math.isfinite(self.theta):
+        if self.theta is not None and not 0.0 < self.theta < math.inf:
             raise ValueError(f"theta must be a positive finite number, got {self.theta}")
         steps = round(self.t_final / self.tau)
         tol = math.ulp(self.t_final) if self.t_final > 0.0 else 0.0
@@ -113,8 +106,10 @@ def evolve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the scheme from t = 0 to t = t_final on a (..., N, N) coefficient array.
 
-    ``u0`` holds coefficients in natural mode order; its leading axes, if
-    any, stack data that step together, each slice bit for bit as alone.
+    ``u0`` holds coefficients in natural mode order on a square lattice of
+    even size N >= 2, which sets the scheme's N; its leading axes, if any,
+    stack data that step together, each slice bit for bit as alone.  The
+    filter is ``params.theta``, or ``max(tau, 4/N^2)`` when that is None.
     The datum is passed through the filter before stepping, so the whole
     trajectory is filter-invariant.  Returns the final array and each
     slice's blow-up step, an integer array of the leading shape (0-d for a
@@ -136,15 +131,15 @@ def evolve(
     Raises
     ------
     ValueError
-        On inconsistent arguments (lattice mismatch, bad observer stride).
+        On a lattice that is not N x N with even N >= 2, or a bad observer stride.
     """
     if observer_every < 1:
         raise ValueError(f"observer_every must be >= 1, got {observer_every}")
-    n = params.n_modes
     coeffs = np.asarray(u0, dtype=np.complex128)
-    if coeffs.shape[-2:] != (n, n):
-        raise ValueError(f"field lattice {coeffs.shape[-1]} does not match params.n_modes {n}")
-    theta = params.theta
+    n = coeffs.shape[-1] if coeffs.ndim else 0
+    if coeffs.shape[-2:] != (n, n) or n < 2 or n % 2 != 0:
+        raise ValueError(f"field lattice {coeffs.shape[-2:]} must be N x N with N even and >= 2")
+    theta = default_theta(params.tau, n) if params.theta is None else params.theta
     c = np.fft.ifftshift(project(coeffs, theta), axes=(-2, -1))
     prop = np.fft.ifftshift(project(free_phase(n, params.tau), theta))
     angle = np.empty(c.shape)

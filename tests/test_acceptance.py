@@ -121,7 +121,7 @@ def test_criterion_04_plane_wave_exactness():
     with _criterion(4, "plane-wave exactness over 2^10 steps", 10.0) as info:
         tau, steps = 2.0**-10, 2**10
         u0 = plane_wave(32, 0.1, (1, 2))
-        params = SchemeParams(tau=tau, n_modes=32, mu=-1, t_final=tau * steps)
+        params = SchemeParams(tau=tau, mu=-1, t_final=tau * steps)
         final = evolve_field(u0, params)
         exact = plane_wave(32, plane_wave_solution(0.1, (1, 2), -1, tau * steps), (1, 2))
         err = l2_norm(final - exact)
@@ -136,7 +136,7 @@ def test_criterion_05_mass_law():
         assert 4.0 / n**2 >= tau
         masses: list[float] = []
         u0 = generate(RoughDataSpec(s=1.0, seed=5, n_modes=n))
-        evolve_field(u0, SchemeParams(tau=tau, n_modes=n, mu=-1, t_final=tau * steps),
+        evolve_field(u0, SchemeParams(tau=tau, mu=-1, t_final=tau * steps),
                      observer=lambda _, f: masses.append(l2_norm(f)))
         drift = max(abs(m - masses[0]) for m in masses) / masses[0]
         info["rel_drift"] = f"{drift:.3e}"
@@ -148,7 +148,7 @@ def test_criterion_05_mass_law():
         assert tau > 4.0 / n**2
         masses = []
         u0 = generate(RoughDataSpec(s=1.0, seed=2, n_modes=n))
-        evolve_field(u0, SchemeParams(tau=tau, n_modes=n, mu=1, t_final=2.0),
+        evolve_field(u0, SchemeParams(tau=tau, mu=1, t_final=2.0),
                      observer=lambda _, f: masses.append(l2_norm(f)))
         steps_up = sum(1 for a, b in zip(masses, masses[1:]) if b > a + 1e-14)
         drop = masses[0] - masses[-1]

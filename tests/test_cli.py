@@ -13,6 +13,7 @@ from nls2d.cli import EXIT_BLOWUP, EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from nls2d.roughdata import RoughDataSpec, generate
 from nls2d.snapshot import load_field, save_field
 from nls2d.spectral import l2_norm
+from nls2d.splitting import SchemeParams, evolve
 
 from oracles import plane_wave, plane_wave_solution
 
@@ -50,8 +51,8 @@ class TestRun:
         datum = tmp_path / "wave.nls2"
         save_field(wave, datum)
         out = tmp_path / "final.nls2"
-        code = main(["run", "--in", str(datum), "--tau", "2^-6", "--grid", "16",
-                     "--T", "0.25", "--out", str(out)])
+        code = main(["run", "--in", str(datum), "--tau", "2^-6", "--T", "0.25",
+                     "--out", str(out)])
         assert code == EXIT_OK
         got = load_field(out)
         want = plane_wave_solution(0.1, (1, 2), -1, 0.25)
@@ -68,22 +69,42 @@ class TestRun:
         assert names == ["run_0.nls2", "run_2.nls2", "run_4.nls2"]
         assert np.array_equal(load_field(snaps / "run_4.nls2"), load_field(out))
 
-    def test_grid_mismatch_exits_2(self, tmp_path, capsys):
+    def test_theta_override(self, tmp_path, capsys):
+        """--theta-override replaces the default filter, bit for bit as in evolve."""
+        u0 = generate(RoughDataSpec(s=1.0, seed=7, n_modes=16))
+        datum = tmp_path / "datum.nls2"
+        save_field(u0, datum)
+        out = tmp_path / "final.nls2"
+        code = main(["run", "--in", str(datum), "--tau", "2^-6", "--T", "0.25",
+                     "--theta-override", "2^-3", "--out", str(out)])
+        assert code == EXIT_OK
+        want, _ = evolve(u0, SchemeParams(tau=2.0**-6, mu=-1, t_final=0.25, theta=0.125))
+        assert np.array_equal(load_field(out), want)
+        assert not np.array_equal(want, evolve(u0, SchemeParams(2.0**-6, -1, 0.25))[0])
+        assert "theta=0.125," in capsys.readouterr().out
+
+    def test_grid_beside_in_exits_2(self, tmp_path, capsys):
+        """The datum's lattice is the run's: argparse refuses --grid beside --in."""
         datum = tmp_path / "wave.nls2"
         save_field(plane_wave(8, 0.1, (1, 0)), datum)
-        code = main(["run", "--in", str(datum), "--tau", "2^-4", "--grid", "16",
-                     "--T", "0.25", "--out", str(tmp_path / "o.nls2")])
-        assert code == EXIT_INVALID
-        assert "does not match --grid" in capsys.readouterr().err
+        out = tmp_path / "o.nls2"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--in", str(datum), "--tau", "2^-4", "--grid", "8",
+                  "--T", "0.25", "--out", str(out)])
+        assert exc.value.code == EXIT_INVALID
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_missing_datum_choice_exits_2(self, tmp_path):
-        code = main(["run", "--tau", "2^-4", "--grid", "16", "--T", "0.25",
-                     "--out", str(tmp_path / "o.nls2")])
-        assert code == EXIT_INVALID
+    def test_missing_datum_choice_exits_2(self, tmp_path, capsys):
+        for datum in (["--grid", "16"], ["--s", "1.0", "--seed", "7"]):
+            code = main(["run", *datum, "--tau", "2^-4", "--T", "0.25",
+                         "--out", str(tmp_path / "o.nls2")])
+            assert code == EXIT_INVALID
+            assert "all of --s, --seed and --grid" in capsys.readouterr().err
 
     def test_missing_input_file_exits_4(self, tmp_path):
         code = main(["run", "--in", str(tmp_path / "absent.nls2"), "--tau", "2^-4",
-                     "--grid", "16", "--T", "0.25", "--out", str(tmp_path / "o.nls2")])
+                     "--T", "0.25", "--out", str(tmp_path / "o.nls2")])
         assert code == EXIT_IO
 
     def test_blowup_exits_3(self, tmp_path, capsys):
@@ -91,8 +112,8 @@ class TestRun:
         datum = tmp_path / "huge.nls2"
         save_field(plane_wave(8, 1e200, (0, 0)), datum)
         with np.errstate(all="ignore"):
-            code = main(["run", "--in", str(datum), "--tau", "2^-4", "--grid", "8",
-                         "--T", "0.25", "--mu", "1", "--out", str(tmp_path / "o.nls2")])
+            code = main(["run", "--in", str(datum), "--tau", "2^-4", "--T", "0.25",
+                         "--mu", "1", "--out", str(tmp_path / "o.nls2")])
         assert code == EXIT_BLOWUP
         assert "non-finite solver state" in capsys.readouterr().err
 
@@ -119,7 +140,7 @@ class TestReference:
         real = harness.evolve
         monkeypatch.setattr(
             harness, "evolve",
-            lambda u0, p, **k: stacks.append((p.n_modes, len(u0))) or real(u0, p, **k))
+            lambda u0, p, **k: stacks.append((u0.shape[-1], len(u0))) or real(u0, p, **k))
         cfg = tmp_path / "study.cfg"
         cfg.write_text(TestConverge.CONFIG.format(out=tmp_path / "out", cache=cache))
         assert main(["converge", "--config", str(cfg)]) == EXIT_OK
@@ -170,6 +191,15 @@ workers = 2
         assert main(["converge", "--config", str(cfg)]) == EXIT_INVALID
         assert "s must be > 0, got nan" in capsys.readouterr().err
         assert not (tmp_path / "out" / "study.json").exists()
+
+    def test_shared_plot_file_exits_2_before_writing(self, tmp_path, capsys):
+        """Two s values with one plot_s{s:g}.csv name are refused; nothing is written."""
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(self.CONFIG.format(out=tmp_path / "out", cache=tmp_path / "cache")
+                       .replace("s_values = 2.0", "s_values = 0.5000001, 0.5000002"))
+        assert main(["converge", "--config", str(cfg)]) == EXIT_INVALID
+        assert "share the plot file plot_s0.5.csv" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "study.cfg"

@@ -114,6 +114,8 @@ class TestConfigValidation:
             (dict(eps=0.0), "positive"),
             (dict(workers=0), "workers"),
             (dict(grid_reference=16), "at least twice"),
+            (dict(s_values=(0.5000001, 0.5000002)),
+             "s values 0.5000001 and 0.5000002 share the plot file plot_s0.5.csv"),
         ]
         for override, pattern in cases:
             with pytest.raises(ValueError, match=pattern):
@@ -173,9 +175,9 @@ class TestErrorMeasure:
         datum = generate(RoughDataSpec(s=1.0, seed=4, n_modes=64))
         for tau in (2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8):
             n = grid_for_tau(tau)
-            p = SchemeParams(tau, n, -1, 4 * tau)
+            p = SchemeParams(tau, -1, 4 * tau)
             got, _ = evolve(restrict(datum, n), p)
-            want, _ = evolve(restrict(project(datum, p.theta), n), p)
+            want, _ = evolve(restrict(project(datum, default_theta(tau, n)), n), p)
             assert np.array_equal(got, want)
 
 
@@ -279,7 +281,7 @@ class TestReference:
 
         n = grid_for_tau(2.0**-6)
         u0 = restrict(datum, n)
-        final = evolve_field(u0, SchemeParams(tau=2.0**-6, n_modes=n, mu=-1, t_final=0.125))
+        final = evolve_field(u0, SchemeParams(tau=2.0**-6, mu=-1, t_final=0.125))
         coarse_err = l2_error(final, ref_a)
         assert drift < coarse_err / 10.0
 
@@ -292,7 +294,7 @@ class TestReference:
         theta = default_theta(tau, 16)
         assert theta == 4.0 / 16**2 == tau
         ref, _ = compute_reference(datum, tau, 0.25)
-        final = evolve_field(datum, SchemeParams(tau=tau, n_modes=16, mu=-1, t_final=0.25))
+        final = evolve_field(datum, SchemeParams(tau=tau, mu=-1, t_final=0.25))
         assert l2_error(final, ref) == 0.0
 
 
@@ -460,16 +462,28 @@ class TestRunStudy:
         assert plot.stat().st_ino != inode  # the gap's row changed the plot, so it is rewritten
 
     def test_truncated_records_refused(self, mini_study, tmp_path, monkeypatch, capsys):
-        """A records.csv cut short by hand is refused before anything runs or is
-        written, by run_study and by ``nls2d converge`` (exit 2)."""
+        """A records.csv cut short by hand, or with a row that does not parse, is
+        refused with its path before anything runs or is written, by run_study
+        and by ``nls2d converge`` (exit 2)."""
         cfg, _ = mini_study
         out = tmp_path / "copy"
         shutil.copytree(cfg.output_dir, out)
         copy = replace(cfg, output_dir=out)
+        config = write_config(tmp_path / "copy.cfg", copy)
         path = out / "records.csv"
         text = path.read_bytes()
         last_row = text.rstrip(b"\r\n").rfind(b"\n") + 1
-        path.write_bytes(text[: last_row + 10])
+        last_field = text.rfind(b",") + 1
+        cut_short = f"{path}: last row is cut short"
+        cases = [
+            (text[: last_row + 10], cut_short),  # fields missing
+            (text[:-6], cut_short),  # inside wall_time: would read as a shorter number
+            (text[:last_field], cut_short),  # wall_time empty
+            (text[: last_row + 10] + b"\r\n", f"{path}: malformed row"),
+            (text[:last_field] + b"\r\n",
+             f"{path}: malformed row {text[last_row:last_field].decode().split(',')}: "
+             "could not convert string to float: ''"),
+        ]
         monkeypatch.setattr(harness, "evolve", lambda *a, **k: pytest.fail("nothing may run"))
         monkeypatch.setattr(harness, "generate", lambda *a, **k: pytest.fail("nothing may run"))
 
@@ -477,14 +491,15 @@ class TestRunStudy:
             return {p: (p.stat().st_ino, p.read_bytes()) for p in out.rglob("*")
                     if p.is_file()}
 
-        before = state()
-        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed row")):
-            run_study(copy)
-        assert state() == before
-        assert main(["converge", "--config", str(write_config(tmp_path / "copy.cfg", copy))]) \
-            == EXIT_INVALID
-        assert "malformed row" in capsys.readouterr().err
-        assert state() == before
+        for data, message in cases:
+            path.write_bytes(data)
+            before = state()
+            with pytest.raises(ValueError, match=re.escape(message)):
+                run_study(copy)
+            assert state() == before
+            assert main(["converge", "--config", str(config)]) == EXIT_INVALID
+            assert message in capsys.readouterr().err
+            assert state() == before
 
     def test_resume_refuses_another_recipe(self, mini_study, tmp_path, monkeypatch):
         """Rows resume only under the recipe recorded in study.json, and a
@@ -518,7 +533,7 @@ class TestRunStudy:
         real = harness.evolve
 
         def fails_at_12(u0, p, **k):
-            if p.n_modes == 12:
+            if u0.shape[-1] == 12:
                 raise OSError("killed")
             return real(u0, p, **k)
 
@@ -530,7 +545,7 @@ class TestRunStudy:
             (1.0, tau, seed) for tau in (2.0**-6, 2.0**-4) for seed in (1, 2)]
         stacks = []
         monkeypatch.setattr(harness, "evolve",
-                            lambda u0, p, **k: stacks.append(p.n_modes) or real(u0, p, **k))
+                            lambda u0, p, **k: stacks.append(u0.shape[-1]) or real(u0, p, **k))
         assert len(run_study(cfg)) == 6
         assert stacks == [12]
 
@@ -547,7 +562,7 @@ class TestRunStudy:
         real = harness.evolve
 
         def s2_killed(u0, p, **k):
-            if p.n_modes == n_new and np.array_equal(u0[0], s2_datum):
+            if u0.shape[-1] == n_new and np.array_equal(u0[0], s2_datum):
                 raise OSError("killed")
             return real(u0, p, **k)
 
@@ -574,7 +589,7 @@ class TestRunStudy:
             ref, _ = compute_reference(datum, cfg.tau_reference, cfg.t_final, cfg.mu,
                                        cfg.resolved_cache_dir)
             u0 = restrict(project(datum, rec.theta), rec.n_modes)
-            final = evolve_field(u0, SchemeParams(rec.tau, rec.n_modes, cfg.mu, cfg.t_final))
+            final = evolve_field(u0, SchemeParams(rec.tau, cfg.mu, cfg.t_final))
             assert rec.l2_error == embedded_l2_error(final, ref)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -103,11 +103,11 @@ class TestAgainstVdot:
         for s in cfg.s_values:
             for seed in cfg.seeds:
                 u0 = _vdot_datum(cfg.datum_spec(s, seed))
-                ref, _ = evolve(u0, SchemeParams(cfg.tau_reference, k, cfg.mu, cfg.t_final,
+                ref, _ = evolve(u0, SchemeParams(cfg.tau_reference, cfg.mu, cfg.t_final,
                                                  theta=4.0 / (k * k)))
                 for tau in cfg.tau_list:
                     n = grid_for_tau(tau)
-                    final, _ = evolve(restrict(u0, n), SchemeParams(tau, n, cfg.mu, cfg.t_final))
+                    final, _ = evolve(restrict(u0, n), SchemeParams(tau, cfg.mu, cfg.t_final))
                     old[(s, tau, seed)] = _vdot_error(final, ref)
         for rec in records:
             want = old[rec.key]
