@@ -4,8 +4,10 @@ A trajectory is a finite window of M snapshots taken every tau, held as
 one complex (M, N, N) coefficient stack and extended by zero outside the
 window.  Every functional below evaluates the whole stack with array
 operations, not one snapshot at a time; the per-snapshot ones are the
-stacked forms of :func:`nls2d.spectral.synthesize` and
-:func:`nls2d.spectral.sobolev_norm`.  Its time-space transform is
+stacked forms of :func:`nls2d.spectral.sobolev_norm` and of the L4
+quadrature on the doubled grid of :func:`nls2d.spectral.synthesize`,
+which :attr:`Trajectory.l4_sum` forms on the FFT-ordered grid, bit for
+bit.  Its time-space transform is
 
     F(sigma, k) = tau * sum_{m=0}^{M-1} c_m(k) * exp(i*m*tau*sigma),
 
@@ -61,8 +63,8 @@ import numpy as np
 
 from .roughdata import RoughDataSpec, generate, generate_stack, uniform_block
 from .snapshot import staged
-from .spectral import (_slice_sums, _validate_square, free_phase, mode_ksq, project,
-                       sobolev_norm, synthesize, window_mask)
+from .spectral import (_grid, _slice_sums, _validate_square, free_phase, mode_ksq, project,
+                       sobolev_norm, window_mask)
 
 __all__ = [
     "Trajectory",
@@ -117,12 +119,21 @@ class Trajectory:
 
     @cached_property
     def l4_sum(self) -> float:
-        """The tau-free sum of :func:`trajectory_l4`: ``trajectory_l4 = (tau * l4_sum)**0.25``."""
-        g = synthesize(self.coeffs, 2 * self.n_modes)
-        v = g.real**2 + g.imag**2
+        """The tau-free sum of :func:`trajectory_l4`: ``trajectory_l4 = (tau * l4_sum)**0.25``.
+
+        Sums ``cell * |u|^4`` over each snapshot's doubled grid, in natural
+        node order and slice by slice, then over the snapshots.  ``|u|^4`` is
+        formed on the FFT-ordered grid of ``spectral._grid`` and only the real
+        result is shifted, so the sum is bit for bit that of the
+        :func:`nls2d.spectral.synthesize` values.
+        """
+        g = _grid(self.coeffs, 2 * self.n_modes)
+        v = g.real * g.real
+        v += g.imag * g.imag
+        v *= v
         cell = (2.0 * np.pi / g.shape[-1]) ** 2
         total = 0.0
-        for q in _slice_sums(v * v):
+        for q in _slice_sums(np.fft.fftshift(v, axes=(-2, -1))):
             total += cell * float(q)
         return total
 

@@ -29,17 +29,24 @@ EXIT_BLOWUP = 3
 EXIT_IO = 4
 
 
+# run's datum flags, by dest: none may stand beside --in.
+_DATUM_FLAGS = {"s": "--s", "seed": "--seed", "eps": "--eps", "target_l2": "--target-l2"}
+
+
 def _datum_args(p: argparse.ArgumentParser, required: bool) -> None:
-    p.add_argument("--s", type=float, required=required, help="smoothness dial of the datum")
-    p.add_argument("--seed", type=int, required=required, help="datum seed")
-    p.add_argument("--eps", type=float, default=RoughDataSpec.eps, help="extra decay margin")
-    p.add_argument("--target-l2", type=float, default=RoughDataSpec.target_l2,
-                   help="L2 norm of the datum")
+    # No flag has a default: vars(args) holds exactly the flags given, and
+    # RoughDataSpec fills in the margins left out.
+    unset = argparse.SUPPRESS
+    p.add_argument("--s", type=float, required=required, default=unset,
+                   help="smoothness dial of the datum")
+    p.add_argument("--seed", type=int, required=required, default=unset, help="datum seed")
+    p.add_argument("--eps", type=float, default=unset, help="extra decay margin")
+    p.add_argument("--target-l2", type=float, default=unset, help="L2 norm of the datum")
 
 
 def _datum(args: argparse.Namespace, n_modes: int) -> np.ndarray:
-    return generate(RoughDataSpec(s=args.s, seed=args.seed, n_modes=n_modes,
-                                  eps=args.eps, target_l2=args.target_l2))
+    margins = {k: v for k, v in vars(args).items() if k in ("eps", "target_l2")}
+    return generate(RoughDataSpec(s=args.s, seed=args.seed, n_modes=n_modes, **margins))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,9 +119,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    given = [flag for dest, flag in _DATUM_FLAGS.items() if dest in vars(args)]
     if args.datum_in is not None:
+        if given:
+            raise ValueError(f"{given[0]} is not allowed with --in: the datum is the snapshot")
         u0 = snapshot.load_field(args.datum_in)
-    elif args.s is None or args.seed is None or args.grid is None:
+    elif "s" not in vars(args) or "seed" not in vars(args) or args.grid is None:
         raise ValueError("run needs either --in or all of --s, --seed and --grid")
     else:
         u0 = _datum(args, args.grid)

@@ -126,7 +126,8 @@ def synthesize(coeffs: np.ndarray, n_points: int | None = None) -> np.ndarray:
     Returns
     -------
     np.ndarray
-        Complex (..., M, M) values ``u(x_{jl})`` on the grid.
+        Complex (..., M, M) values ``u(x_{jl})`` on the grid, in natural
+        node order: the ``fftshift`` of the FFT-ordered ``_grid``.
     """
     n = coeffs.shape[-1]
     m = n if n_points is None else n_points
@@ -134,17 +135,30 @@ def synthesize(coeffs: np.ndarray, n_points: int | None = None) -> np.ndarray:
         raise ValueError(f"target grid {m} is coarser than the mode lattice {n}")
     if m % 2 != 0:
         raise ValueError(f"target grid size must be even, got {m}")
+    return np.fft.fftshift(_grid(coeffs, m), axes=(-2, -1))
+
+
+def _grid(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """:func:`synthesize` on an even M >= N grid, left in FFT order (node j at slot j mod M).
+
+    ``M**2`` times the ``ifftn`` of the zero-padded array, bit for bit: its
+    passes run in ``ifftn``'s order (axis -1, then axis -2), in place, but
+    the axis -1 pass skips the M - N rows that hold no coefficient, which
+    are zero and stay zero.
+    """
     # Mode k goes to slot k mod m: the ifftshift of the zero-padded array,
     # built without padding or rolling.
-    h = n // 2
+    h = coeffs.shape[-1] // 2
     c = np.zeros((*coeffs.shape[:-2], m, m), dtype=np.complex128)
     c[..., :h, :h] = coeffs[..., h:, h:]
     c[..., :h, m - h:] = coeffs[..., h:, :h]
     c[..., m - h:, :h] = coeffs[..., :h, h:]
     c[..., m - h:, m - h:] = coeffs[..., :h, :h]
-    np.fft.ifftn(c, axes=(-2, -1), out=c)
+    for rows in (c[..., :h, :], c[..., m - h:, :]):
+        np.fft.ifft(rows, axis=-1, out=rows)
+    np.fft.ifft(c, axis=-2, out=c)
     c *= m * m
-    return np.fft.fftshift(c, axes=(-2, -1))
+    return c
 
 
 def project(coeffs: np.ndarray, theta: float) -> np.ndarray:

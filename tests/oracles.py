@@ -10,6 +10,11 @@ internals.
 
 Those are built from the package's single-field functions instead
 (``snapshot_ensemble`` also reuses the private ``bourgain._envelope``).
+:func:`reference_synthesize` and :func:`reference_l4_sum` keep the
+earlier formulas of ``synthesize`` and ``Trajectory.l4_sum`` (one
+``ifftn`` over the whole zero-padded grid, ``fftshift`` of the complex
+values, ``|u|^2`` in natural order), which the FFT-ordered code must
+reproduce bit for bit.
 :func:`free_flow` and :func:`embed` are the single-field free propagator
 and zero padding, which only the tests use;
 :func:`evolve_field` runs ``evolve`` on one field and raises
@@ -59,6 +64,29 @@ def naive_synthesize(coeffs: np.ndarray, n: int, m: int) -> np.ndarray:
         for b, k2 in enumerate(k):
             out += coeffs[a, b] * np.exp(1j * (k1 * x[:, None] + k2 * x[None, :]))
     return out
+
+
+def reference_synthesize(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """``synthesize`` as a full ``ifftn`` of the zero-padded (..., m, m) array, shifted after."""
+    n = coeffs.shape[-1]
+    lo = m // 2 - n // 2
+    c = np.zeros((*coeffs.shape[:-2], m, m), dtype=np.complex128)
+    c[..., lo:lo + n, lo:lo + n] = coeffs
+    c = np.fft.ifftshift(c, axes=(-2, -1))
+    np.fft.ifftn(c, axes=(-2, -1), out=c)
+    c *= m * m
+    return np.fft.fftshift(c, axes=(-2, -1))
+
+
+def reference_l4_sum(coeffs: np.ndarray) -> float:
+    """``Trajectory.l4_sum`` from the natural-order values of :func:`reference_synthesize`."""
+    g = reference_synthesize(coeffs, 2 * coeffs.shape[-1])
+    v = g.real**2 + g.imag**2
+    cell = (2.0 * np.pi / g.shape[-1]) ** 2
+    total = 0.0
+    for q in np.sum((v * v).reshape(len(v), -1), axis=-1):
+        total += cell * float(q)
+    return total
 
 
 def quadrature_l2(values: np.ndarray) -> float:

@@ -27,6 +27,7 @@ from oracles import (
     brute_force_bourgain_norm,
     free_flow,
     plane_wave,
+    reference_l4_sum,
     snapshot_ensemble,
     snapshot_l4,
     snapshot_probe_rows,
@@ -203,6 +204,14 @@ class TestTrajectoryFunctionals:
         want = (0.5 * (2.0 * np.pi) ** 2 * a**4) ** 0.25
         assert abs(trajectory_l4(tr) - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize("m, n", [(1, 8), (5, 6), (16, 16)])
+    def test_l4_sum_bits_match_natural_order(self, m, n):
+        """|u|^4 formed on the FFT-ordered grid and shifted after sums to the
+        same bits as from the shifted complex values."""
+        tr = random_trajectory(0.25, n, m)
+        got = np.float64(tr.l4_sum)
+        assert got.view(np.uint64) == np.float64(reference_l4_sum(tr.coeffs)).view(np.uint64)
+
     def test_l4_modulus_invariance(self):
         """l4 only sees moduli: a global phase leaves it unchanged."""
         tr = random_trajectory(0.25, 8, 3)
@@ -293,7 +302,7 @@ class TestProbes:
         once and sums each (stack, theta-window) L4 once."""
         calls: dict[str, int] = {}
         for name in ("time_space_transform", "generate_stack", "generate", "free_phase",
-                     "trajectory_sup_sobolev", "synthesize"):
+                     "trajectory_sup_sobolev", "_grid"):
             def counted(*args, _real=getattr(bourgain, name), _name=name, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _real(*args, **kwargs)
@@ -310,7 +319,7 @@ class TestProbes:
             "generate": 5,  # the five free-flow seeds
             "time_space_transform": 30,
             "trajectory_sup_sobolev": 5 + 15,  # rough seeds share one stack for all taus
-            "synthesize": 5 * 2 + 15,  # the L4 sums: one per (stack, window)
+            "_grid": 5 * 2 + 15,  # the L4 sums: one doubled grid per (stack, window)
         }
 
     def test_report_round_trip(self, tmp_path):

@@ -1,5 +1,6 @@
 """Tests for the command-line front end (exit codes and artifacts)."""
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,9 @@ from oracles import plane_wave, plane_wave_solution
 
 # probes.csv, one ensemble per estimate, since the fixed-order L2 sum; it must not change.
 PROBES_GOLDEN = Path(__file__).parent / "data" / "probes_golden.csv"
+# sha256 of probes.csv from the benchmark-scale sweep of TestDiagnose (600 rows, N = 16, M = 16),
+# as written by the code before the L4 sums moved to the FFT-ordered grid.
+PROBES_100_SHA256 = "38b86856f084888e285133c750c2a3572f1a3d49499d60a95b1e0e570cc7c96b"
 
 
 class TestGenerate:
@@ -94,6 +98,19 @@ class TestRun:
         assert exc.value.code == EXIT_INVALID
         assert "not allowed with argument" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--s", "2.0"), ("--seed", "99"),
+                                             ("--eps", "0.1"), ("--target-l2", "5")])
+    def test_datum_flag_beside_in_exits_2(self, tmp_path, capsys, flag, value):
+        """The snapshot is the datum: a datum flag beside --in is refused by name."""
+        datum = tmp_path / "wave.nls2"
+        save_field(plane_wave(8, 0.1, (1, 0)), datum)
+        out = tmp_path / "o.nls2"
+        code = main(["run", "--in", str(datum), flag, value, "--tau", "2^-4",
+                     "--T", "0.25", "--out", str(out)])
+        assert code == EXIT_INVALID
+        assert f"error: {flag} is not allowed with --in" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [datum]
 
     def test_missing_datum_choice_exits_2(self, tmp_path, capsys):
         for datum in (["--grid", "16"], ["--s", "1.0", "--seed", "7"]):
@@ -235,6 +252,14 @@ class TestDiagnose:
             "strichartz_l4 tau=0.0625: max_ratio=0.251771 over 6 trajectories",
             "strichartz_l4 tau=0.00390625: max_ratio=0.278814 over 6 trajectories",
         ]
+
+    def test_benchmark_scale_report_digest(self, tmp_path):
+        """The benchmark's sweep (3 steps, 100 trajectories) writes the same bytes."""
+        out = tmp_path / "probes.csv"
+        code = main(["diagnose", "--tau", "2^-4", "--tau", "2^-6", "--tau", "2^-8",
+                     "--trajectories", "100", "--seed", "100", "--out", str(out)])
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PROBES_100_SHA256
 
     def test_single_estimate_writes_only_its_rows(self, tmp_path):
         out = tmp_path / "probes.csv"

@@ -19,7 +19,8 @@ from nls2d.spectral import (
     synthesize,
 )
 
-from oracles import embed, free_flow, naive_dft, naive_synthesize, quadrature_l2
+from oracles import (embed, free_flow, naive_dft, naive_synthesize, quadrature_l2,
+                     reference_synthesize)
 
 RNG = np.random.default_rng(20240815)
 
@@ -167,6 +168,16 @@ class TestSynthesize:
             got = synthesize(f, m)
             want = naive_synthesize(f, n, m)
             assert np.abs(got - want).max() <= 1e-11
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (2, 4), (6, 8), (8, 8), (16, 32)])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_bits_match_full_ifftn(self, n, m, lead):
+        """Skipping the zero rows in the axis -1 pass, and transforming into
+        row views in place, leaves every bit of the padded ``ifftn``."""
+        f = random_field(n, *lead)
+        got = synthesize(f, m)
+        assert got.shape == (*lead, m, m)
+        assert np.array_equal(got.view(np.uint64), reference_synthesize(f, m).view(np.uint64))
 
     def test_coarser_grid_rejected(self):
         with pytest.raises(ValueError, match="coarser"):
