@@ -329,8 +329,11 @@ def probe_ensemble(
     Each seed draws its data once and yields one trajectory per step in
     ``taus``, in that order (a rough seed's share one stack).  Seeds derive
     from ``seed0`` so equal arguments reproduce the ensemble exactly.  A
-    repeated or non-positive step is rejected before anything is drawn.
+    window of no snapshot, or a repeated or non-positive step, is rejected
+    before anything is drawn.
     """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     for j, tau in enumerate(taus):
         if not (tau > 0.0 and np.isfinite(tau)):
             raise ValueError(f"tau {tau} is not a positive finite number")

@@ -5,6 +5,10 @@ solver run), ``reference`` (build/cache a reference solution), ``converge``
 (full convergence study from a config file), ``diagnose`` (space-time norm
 estimate probes), ``fit`` (convergence order from a records CSV).
 
+``generate`` is the only command that draws a datum.  ``run`` and
+``reference`` read theirs from a snapshot given by ``--in``, any datum on
+any even lattice, and take N from it.
+
 Exit codes: 0 success, 2 invalid configuration or parameters, 3 numerical
 blowup, 4 I/O failure.
 """
@@ -15,8 +19,6 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import bourgain, harness, snapshot
 from .roughdata import RoughDataSpec, generate
@@ -29,42 +31,24 @@ EXIT_BLOWUP = 3
 EXIT_IO = 4
 
 
-# run's datum flags, by dest: none may stand beside --in.
-_DATUM_FLAGS = {"s": "--s", "seed": "--seed", "eps": "--eps", "target_l2": "--target-l2"}
-
-
-def _datum_args(p: argparse.ArgumentParser, required: bool) -> None:
-    # No flag has a default: vars(args) holds exactly the flags given, and
-    # RoughDataSpec fills in the margins left out.
-    unset = argparse.SUPPRESS
-    p.add_argument("--s", type=float, required=required, default=unset,
-                   help="smoothness dial of the datum")
-    p.add_argument("--seed", type=int, required=required, default=unset, help="datum seed")
-    p.add_argument("--eps", type=float, default=unset, help="extra decay margin")
-    p.add_argument("--target-l2", type=float, default=unset, help="L2 norm of the datum")
-
-
-def _datum(args: argparse.Namespace, n_modes: int) -> np.ndarray:
-    margins = {k: v for k, v in vars(args).items() if k in ("eps", "target_l2")}
-    return generate(RoughDataSpec(s=args.s, seed=args.seed, n_modes=n_modes, **margins))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nls2d", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a random datum snapshot")
-    _datum_args(p, required=True)
+    p.add_argument("--s", type=float, required=True, help="smoothness dial of the datum")
+    p.add_argument("--seed", type=int, required=True, help="datum seed")
+    # No default: vars(args) holds the margins given, and RoughDataSpec fills in the rest.
+    p.add_argument("--eps", type=float, default=argparse.SUPPRESS, help="extra decay margin")
+    p.add_argument("--target-l2", type=float, default=argparse.SUPPRESS,
+                   help="L2 norm of the datum")
     p.add_argument("--grid", type=int, required=True, help="lattice size N")
     p.add_argument("--out", type=Path, required=True, help="snapshot file to write")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("run", help="one solver run, writing the final snapshot")
-    _datum_args(p, required=False)
-    lattice = p.add_mutually_exclusive_group()
-    lattice.add_argument("--in", dest="datum_in", type=Path,
-                         help="datum snapshot, whose lattice the run takes (instead of --s/--seed)")
-    lattice.add_argument("--grid", type=int, help="lattice size N of a generated datum")
+    p.add_argument("--in", dest="datum_in", type=Path, required=True,
+                   help="datum snapshot, whose lattice the run takes")
     p.add_argument("--tau", type=harness.parse_dyadic, required=True, help="time step (accepts 2^-10)")
     p.add_argument("--T", type=harness.parse_dyadic, required=True, help="final time")
     p.add_argument("--mu", type=int, default=-1, choices=(-1, 1), help="nonlinearity sign")
@@ -76,9 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("reference", help="build and cache a reference solution")
-    _datum_args(p, required=True)
-    p.add_argument("--K", dest="grid_reference", type=int, required=True,
-                   help="reference lattice size")
+    p.add_argument("--in", dest="datum_in", type=Path, required=True,
+                   help="datum snapshot, whose lattice the reference takes")
     p.add_argument("--tau-ref", type=harness.parse_dyadic, required=True, help="reference step")
     p.add_argument("--T", type=harness.parse_dyadic, required=True, help="final time")
     p.add_argument("--mu", type=int, default=-1, choices=(-1, 1))
@@ -112,31 +95,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    field = _datum(args, args.grid)
+    margins = {k: v for k, v in vars(args).items() if k in ("eps", "target_l2")}
+    field = generate(RoughDataSpec(s=args.s, seed=args.seed, n_modes=args.grid, **margins))
     snapshot.save_field(field, args.out)
     print(f"wrote {args.out} (N={args.grid}, l2={l2_norm(field):.6g})")
     return EXIT_OK
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    given = [flag for dest, flag in _DATUM_FLAGS.items() if dest in vars(args)]
-    if args.datum_in is not None:
-        if given:
-            raise ValueError(f"{given[0]} is not allowed with --in: the datum is the snapshot")
-        u0 = snapshot.load_field(args.datum_in)
-    elif "s" not in vars(args) or "seed" not in vars(args) or args.grid is None:
-        raise ValueError("run needs either --in or all of --s, --seed and --grid")
-    else:
-        u0 = _datum(args, args.grid)
+    u0 = snapshot.load_field(args.datum_in)
     theta = args.theta_override
     if theta is None:
         theta = default_theta(args.tau, u0.shape[-1])
     params = SchemeParams(tau=args.tau, mu=args.mu, t_final=args.T, theta=theta)
     observer = None
     if args.snapshots is not None:
-        args.snapshots.mkdir(parents=True, exist_ok=True)
-
         def observer(step, coeffs):
+            # evolve calls this only once it has accepted the stride
+            if step == 0:
+                args.snapshots.mkdir(parents=True, exist_ok=True)
             snapshot.save_field(coeffs, args.snapshots / f"run_{step}.nls2")
 
     final, blowup = evolve(u0, params, observer=observer, observer_every=args.snapshot_every)
@@ -149,8 +126,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_reference(args: argparse.Namespace) -> int:
-    field, path = harness.compute_reference(_datum(args, args.grid_reference), args.tau_ref,
-                                            args.T, args.mu, args.cache)
+    u0 = snapshot.load_field(args.datum_in)
+    field, path = harness.compute_reference(u0, args.tau_ref, args.T, args.mu, args.cache)
     print(f"reference cached at {path} (l2={l2_norm(field):.6g})")
     return EXIT_OK
 

@@ -25,6 +25,13 @@ PROBES_GOLDEN = Path(__file__).parent / "data" / "probes_golden.csv"
 PROBES_100_SHA256 = "38b86856f084888e285133c750c2a3572f1a3d49499d60a95b1e0e570cc7c96b"
 
 
+def assert_refused(err: str, flag: str, value: str) -> None:
+    """argparse named ``flag`` as unknown (or, for ``--s`` on run, as a prefix of two options)."""
+    last = err.splitlines()[-1]
+    assert (f"error: unrecognized arguments: {flag} {value}" in last
+            or f"error: ambiguous option: {flag} could match" in last), err
+
+
 class TestGenerate:
     def test_writes_loadable_snapshot(self, tmp_path, capsys):
         out = tmp_path / "datum.nls2"
@@ -63,11 +70,13 @@ class TestRun:
         assert abs(got[8 + 1, 8 + 2] - want) <= 1e-12
 
     def test_generated_datum_and_snapshots(self, tmp_path):
+        datum = tmp_path / "datum.nls2"
+        assert main(["generate", "--s", "1.0", "--seed", "3", "--grid", "8",
+                     "--out", str(datum)]) == EXIT_OK
         out = tmp_path / "final.nls2"
         snaps = tmp_path / "traj"
-        code = main(["run", "--s", "1.0", "--seed", "3", "--tau", "2^-4",
-                     "--grid", "8", "--T", "0.25", "--out", str(out),
-                     "--snapshots", str(snaps), "--snapshot-every", "2"])
+        code = main(["run", "--in", str(datum), "--tau", "2^-4", "--T", "0.25",
+                     "--out", str(out), "--snapshots", str(snaps), "--snapshot-every", "2"])
         assert code == EXIT_OK
         names = sorted(p.name for p in snaps.glob("*.nls2"))
         assert names == ["run_0.nls2", "run_2.nls2", "run_4.nls2"]
@@ -87,37 +96,37 @@ class TestRun:
         assert not np.array_equal(want, evolve(u0, SchemeParams(2.0**-6, -1, 0.25))[0])
         assert "theta=0.125," in capsys.readouterr().out
 
-    def test_grid_beside_in_exits_2(self, tmp_path, capsys):
-        """The datum's lattice is the run's: argparse refuses --grid beside --in."""
-        datum = tmp_path / "wave.nls2"
-        save_field(plane_wave(8, 0.1, (1, 0)), datum)
-        out = tmp_path / "o.nls2"
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--in", str(datum), "--tau", "2^-4", "--grid", "8",
-                  "--T", "0.25", "--out", str(out)])
-        assert exc.value.code == EXIT_INVALID
-        assert "not allowed with argument" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("flag, value", [("--s", "2.0"), ("--seed", "99"),
+    @pytest.mark.parametrize("flag, value", [("--grid", "8"), ("--s", "2.0"), ("--seed", "99"),
                                              ("--eps", "0.1"), ("--target-l2", "5")])
     def test_datum_flag_beside_in_exits_2(self, tmp_path, capsys, flag, value):
-        """The snapshot is the datum: a datum flag beside --in is refused by name."""
+        """The snapshot is the datum and its lattice: argparse refuses a datum flag beside it."""
         datum = tmp_path / "wave.nls2"
         save_field(plane_wave(8, 0.1, (1, 0)), datum)
-        out = tmp_path / "o.nls2"
-        code = main(["run", "--in", str(datum), flag, value, "--tau", "2^-4",
-                     "--T", "0.25", "--out", str(out)])
-        assert code == EXIT_INVALID
-        assert f"error: {flag} is not allowed with --in" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--in", str(datum), flag, value, "--tau", "2^-4",
+                  "--T", "0.25", "--out", str(tmp_path / "o.nls2")])
+        assert exc.value.code == EXIT_INVALID
+        assert_refused(capsys.readouterr().err, flag, value)
         assert sorted(tmp_path.iterdir()) == [datum]
 
-    def test_missing_datum_choice_exits_2(self, tmp_path, capsys):
-        for datum in (["--grid", "16"], ["--s", "1.0", "--seed", "7"]):
-            code = main(["run", *datum, "--tau", "2^-4", "--T", "0.25",
-                         "--out", str(tmp_path / "o.nls2")])
-            assert code == EXIT_INVALID
-            assert "all of --s, --seed and --grid" in capsys.readouterr().err
+    def test_missing_in_exits_2(self, tmp_path, capsys):
+        """generate is the only command that draws a datum: run needs --in."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--tau", "2^-4", "--T", "0.25", "--out", str(tmp_path / "o.nls2")])
+        assert exc.value.code == EXIT_INVALID
+        assert "the following arguments are required: --in" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_stride_exits_2_before_writing(self, tmp_path, capsys):
+        """A stride evolve refuses leaves no snapshot directory behind."""
+        datum = tmp_path / "wave.nls2"
+        save_field(plane_wave(8, 0.1, (1, 0)), datum)
+        code = main(["run", "--in", str(datum), "--tau", "2^-4", "--T", "0.25",
+                     "--out", str(tmp_path / "o.nls2"), "--snapshots", str(tmp_path / "traj"),
+                     "--snapshot-every", "0"])
+        assert code == EXIT_INVALID
+        assert "observer_every must be >= 1" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [datum]
 
     def test_missing_input_file_exits_4(self, tmp_path):
         code = main(["run", "--in", str(tmp_path / "absent.nls2"), "--tau", "2^-4",
@@ -137,9 +146,12 @@ class TestRun:
 
 class TestReference:
     def test_builds_and_reports_cache_path(self, tmp_path, capsys):
+        datum = tmp_path / "datum.nls2"
+        assert main(["generate", "--s", "1.0", "--seed", "2", "--grid", "16",
+                     "--out", str(datum)]) == EXIT_OK
         cache = tmp_path / "cache"
-        code = main(["reference", "--s", "1.0", "--seed", "2", "--K", "16",
-                     "--tau-ref", "2^-6", "--T", "0.25", "--cache", str(cache)])
+        code = main(["reference", "--in", str(datum), "--tau-ref", "2^-6", "--T", "0.25",
+                     "--cache", str(cache)])
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "reference cached at" in out
@@ -147,12 +159,43 @@ class TestReference:
         assert len(cached) == 1
         assert str(cached[0]) in out
 
+    def test_plane_wave_entry_is_compute_reference(self, tmp_path):
+        """Any datum has a reference: a plane wave's entry is compute_reference's, bit for bit."""
+        wave = plane_wave(16, 0.1, (1, 2))
+        datum = tmp_path / "wave.nls2"
+        save_field(wave, datum)
+        cache = tmp_path / "cache"
+        assert main(["reference", "--in", str(datum), "--tau-ref", "2^-8", "--T", "0.25",
+                     "--mu", "1", "--cache", str(cache)]) == EXIT_OK
+        key = harness._reference_key(wave, 2.0**-8, 0.25, 1)
+        entry = harness.reference_cache_path(cache, key)
+        assert sorted(cache.iterdir()) == [entry]
+        want, _ = harness.compute_reference(wave, 2.0**-8, 0.25, 1)
+        assert load_field(entry, key=key).view(np.uint64).tobytes() == \
+            want.view(np.uint64).tobytes()
+
+    @pytest.mark.parametrize("flag, value", [("--K", "16"), ("--s", "2.0"), ("--seed", "99")])
+    def test_datum_flag_beside_in_exits_2(self, tmp_path, capsys, flag, value):
+        """The snapshot is the datum and its lattice: argparse refuses a datum flag beside it."""
+        datum = tmp_path / "wave.nls2"
+        save_field(plane_wave(8, 0.1, (1, 0)), datum)
+        with pytest.raises(SystemExit) as exc:
+            main(["reference", "--in", str(datum), flag, value, "--tau-ref", "2^-6",
+                  "--T", "0.25", "--cache", str(tmp_path / "cache")])
+        assert exc.value.code == EXIT_INVALID
+        assert_refused(capsys.readouterr().err, flag, value)
+        assert sorted(tmp_path.iterdir()) == [datum]
+
     def test_converge_reuses_cli_reference(self, tmp_path, monkeypatch):
-        """References built by ``nls2d reference`` are cache hits for ``converge``."""
+        """References of data written by ``nls2d generate`` with the study's recipe
+        (s, seed, K and the default margins) are cache hits for ``converge``."""
         cache = tmp_path / "cache"
         for seed in ("1", "2"):
-            assert main(["reference", "--s", "2.0", "--seed", seed, "--K", "32",
-                         "--tau-ref", "2^-10", "--T", "0.25", "--cache", str(cache)]) == EXIT_OK
+            datum = tmp_path / f"datum{seed}.nls2"
+            assert main(["generate", "--s", "2.0", "--seed", seed, "--grid", "32",
+                         "--out", str(datum)]) == EXIT_OK
+            assert main(["reference", "--in", str(datum), "--tau-ref", "2^-10", "--T", "0.25",
+                         "--cache", str(cache)]) == EXIT_OK
         stacks = []
         real = harness.evolve
         monkeypatch.setattr(
@@ -282,16 +325,27 @@ class TestDiagnose:
                               ("-2^-3", "-0.125")])
     def test_bad_tau_list_exits_2_before_any_draw(self, tmp_path, capsys, monkeypatch,
                                                   second, named):
+        self._refused_before_any_draw(tmp_path, capsys, monkeypatch,
+                                      ["--tau", "2^-4", f"--tau={second}"], f"tau {named}")
+
+    @pytest.mark.parametrize("window", ["0", "-3"])
+    def test_bad_window_exits_2_before_any_draw(self, tmp_path, capsys, monkeypatch, window):
+        self._refused_before_any_draw(tmp_path, capsys, monkeypatch,
+                                      ["--tau", "2^-4", "--window", window],
+                                      f"window must be >= 1, got {window}")
+
+    @staticmethod
+    def _refused_before_any_draw(tmp_path, capsys, monkeypatch, argv, message):
         def no_draw(*args, **kwargs):
             raise AssertionError("an ensemble was drawn")
 
         monkeypatch.setattr(bourgain, "generate", no_draw)
         monkeypatch.setattr(bourgain, "generate_stack", no_draw)
+        monkeypatch.setattr(bourgain, "free_phase", no_draw)
         out = tmp_path / "probes.csv"
-        code = main(["diagnose", "--tau", "2^-4", f"--tau={second}", "--trajectories", "4",
-                     "--out", str(out)])
+        code = main(["diagnose", *argv, "--trajectories", "4", "--out", str(out)])
         assert code == EXIT_INVALID
-        assert f"tau {named}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("taus", [

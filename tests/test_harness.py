@@ -333,8 +333,7 @@ def mini_study(tmp_path_factory):
 class TestSharedCache:
     """Processes sharing one cache directory, and entries of the older two-file layout."""
 
-    REFERENCE = ["-m", "nls2d", "reference", "--s", "1.0", "--seed", "5", "--K", "16",
-                 "--tau-ref", "2^-12", "--T", "0.25", "--cache"]
+    REFERENCE = ["-m", "nls2d", "reference", "--tau-ref", "2^-12", "--T", "0.25"]
 
     @staticmethod
     def _env() -> dict[str, str]:
@@ -345,7 +344,11 @@ class TestSharedCache:
     def test_racing_misses_leave_one_entry(self, tmp_path):
         """Two processes that miss one key at about the same time both succeed and leave
         one whole entry, which a third process then hits."""
-        cmd = [sys.executable, *self.REFERENCE, str(tmp_path)]
+        datum = tmp_path / "datum.nls2"
+        assert main(["generate", "--s", "1.0", "--seed", "5", "--grid", "16",
+                     "--out", str(datum)]) == EXIT_OK
+        cache = tmp_path / "cache"
+        cmd = [sys.executable, *self.REFERENCE, "--in", str(datum), "--cache", str(cache)]
         procs = [subprocess.Popen(cmd, env=self._env(), stdout=subprocess.PIPE,
                                   stderr=subprocess.PIPE, text=True) for _ in range(2)]
         try:
@@ -354,7 +357,7 @@ class TestSharedCache:
             for p in procs:
                 p.kill()
         assert [p.returncode for p in procs] == [0, 0], outputs
-        entries = list(tmp_path.iterdir())
+        entries = list(cache.iterdir())
         assert len(entries) == 1 and entries[0].suffix == ".entry", entries  # no *.tmp left
         before = entries[0].stat()
         third = subprocess.run(cmd, env=self._env(), capture_output=True, text=True, timeout=120)
