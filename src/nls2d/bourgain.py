@@ -212,8 +212,6 @@ ESTIMATE_IDS = ("embedding_inf_Hs", "strichartz_l4")
 
 @dataclass(frozen=True)
 class ProbeRow:
-    estimate_id: str
-    tau: float
     seed: int
     lhs: float
     rhs: float
@@ -223,8 +221,9 @@ class ProbeRow:
 @dataclass(frozen=True)
 class ProbeResult:
     estimate_id: str
+    tau: float
     rows: tuple[ProbeRow, ...]
-    skipped: int = 0
+    skipped: int
 
     @property
     def ratios(self) -> np.ndarray:
@@ -245,10 +244,11 @@ def estimate_probe(
 ) -> tuple[ProbeResult, ...]:
     """Measure lhs/rhs ratios of each named inequality over an ensemble.
 
-    One pass over ``trajectories`` evaluates every id in ``estimate_ids``;
-    the results come back in the order of the ids.  Consecutive
-    trajectories on one coefficient stack (a rough seed of
-    :func:`probe_ensemble`) share its tau-free values.
+    One pass over ``trajectories`` evaluates every id in ``estimate_ids``
+    and returns one result per (id, tau): in the order of the ids, and per
+    id in the order each tau first appears.  Consecutive trajectories on
+    one stack (a rough seed of :func:`probe_ensemble`) share its tau-free
+    values.
 
     ``embedding_inf_Hs`` compares the sup-in-time H^s norm against the
     (s, b) space-time norm and needs b > 1/2.  ``strichartz_l4`` compares
@@ -270,10 +270,12 @@ def estimate_probe(
         raise ValueError(f"b must lie in (1/2, 1), got {b}")
     if not (s > 0.0):
         raise ValueError(f"s must be > 0, got {s}")
-    rows: list[list[ProbeRow]] = [[] for _ in estimate_ids]
-    skipped = [0] * len(estimate_ids)
+    rows: dict[float, list[list[ProbeRow]]] = {}  # per tau, one list per id
+    skipped: dict[float, list[int]] = {}
     stack = None
     for seed, tr in trajectories:
+        if tr.tau not in rows:
+            rows[tr.tau], skipped[tr.tau] = [[] for _ in estimate_ids], [0] * len(estimate_ids)
         if tr.coeffs is not stack:  # a new stack: drop the last one's tau-free values
             stack, sup, l4_sums = tr.coeffs, None, {}
         for j, estimate_id in enumerate(estimate_ids):
@@ -290,14 +292,14 @@ def estimate_probe(
                 rhs = bourgain_norm(tr, s / 2.0, 1.0 - b)
             if rhs == 0.0:
                 if lhs == 0.0:
-                    skipped[j] += 1
+                    skipped[tr.tau][j] += 1
                     continue
                 raise RuntimeError(
                     f"internal error: zero space-time norm with nonzero lhs ({estimate_id})"
                 )
-            rows[j].append(ProbeRow(estimate_id, tr.tau, seed, lhs, rhs, lhs / rhs))
-    return tuple(ProbeResult(estimate_id, tuple(r), k)
-                 for estimate_id, r, k in zip(estimate_ids, rows, skipped))
+            rows[tr.tau][j].append(ProbeRow(seed, lhs, rhs, lhs / rhs))
+    return tuple(ProbeResult(estimate_id, tau, tuple(rows[tau][j]), skipped[tau][j])
+                 for j, estimate_id in enumerate(estimate_ids) for tau in rows)
 
 
 def _envelope(seed: int, window: int) -> np.ndarray:
@@ -328,10 +330,12 @@ def probe_ensemble(
     flows (temporally coherent, concentrated near the dispersion relation).
     Each seed draws its data once and yields one trajectory per step in
     ``taus``, in that order (a rough seed's share one stack).  Seeds derive
-    from ``seed0`` so equal arguments reproduce the ensemble exactly.  A
-    window of no snapshot, or a repeated or non-positive step, is rejected
-    before anything is drawn.
+    from ``seed0`` so equal arguments reproduce the ensemble exactly.  An
+    empty ensemble, a window of no snapshot, or a repeated or non-positive
+    step is rejected before anything is drawn.
     """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     for j, tau in enumerate(taus):
@@ -361,5 +365,5 @@ def write_probe_report(results: Sequence[ProbeResult], path: str | Path) -> None
         writer.writerow(["estimate_id", "tau", "seed", "lhs", "rhs", "ratio"])
         for result in results:
             for r in result.rows:
-                writer.writerow([r.estimate_id, repr(r.tau), r.seed,
+                writer.writerow([result.estimate_id, repr(result.tau), r.seed,
                                  repr(r.lhs), repr(r.rhs), repr(r.ratio)])

@@ -7,7 +7,8 @@ estimate probes), ``fit`` (convergence order from a records CSV).
 
 ``generate`` is the only command that draws a datum.  ``run`` and
 ``reference`` read theirs from a snapshot given by ``--in``, any datum on
-any even lattice, and take N from it.
+any even lattice, and take N from it.  Options are spelled in full (a
+prefix is refused); ``diagnose`` counts the zero trajectories it skips.
 
 Exit codes: 0 success, 2 invalid configuration or parameters, 3 numerical
 blowup, 4 I/O failure.
@@ -32,10 +33,11 @@ EXIT_IO = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="nls2d", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="nls2d", description=__doc__.splitlines()[0],
+                                     allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="write a random datum snapshot")
+    p = sub.add_parser("generate", help="write a random datum snapshot", allow_abbrev=False)
     p.add_argument("--s", type=float, required=True, help="smoothness dial of the datum")
     p.add_argument("--seed", type=int, required=True, help="datum seed")
     # No default: vars(args) holds the margins given, and RoughDataSpec fills in the rest.
@@ -46,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True, help="snapshot file to write")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("run", help="one solver run, writing the final snapshot")
+    p = sub.add_parser("run", help="one solver run, writing the final snapshot",
+                       allow_abbrev=False)
     p.add_argument("--in", dest="datum_in", type=Path, required=True,
                    help="datum snapshot, whose lattice the run takes")
     p.add_argument("--tau", type=harness.parse_dyadic, required=True, help="time step (accepts 2^-10)")
@@ -59,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshot-every", type=int, default=1, help="dump stride")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("reference", help="build and cache a reference solution")
+    p = sub.add_parser("reference", help="build and cache a reference solution",
+                       allow_abbrev=False)
     p.add_argument("--in", dest="datum_in", type=Path, required=True,
                    help="datum snapshot, whose lattice the reference takes")
     p.add_argument("--tau-ref", type=harness.parse_dyadic, required=True, help="reference step")
@@ -68,12 +72,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", type=Path, required=True, help="cache directory")
     p.set_defaults(func=_cmd_reference)
 
-    p = sub.add_parser("converge", help="run a convergence study from a config file")
+    p = sub.add_parser("converge", help="run a convergence study from a config file",
+                       allow_abbrev=False)
     p.add_argument("--config", type=Path, required=True, help="key = value config file")
     p.add_argument("--out", type=Path, default=None, help="override output_dir")
     p.set_defaults(func=_cmd_converge)
 
-    p = sub.add_parser("diagnose", help="estimate probes over trajectory ensembles")
+    p = sub.add_parser("diagnose", help="estimate probes over trajectory ensembles",
+                       allow_abbrev=False)
     p.add_argument("--estimate", choices=(*bourgain.ESTIMATE_IDS, "all"), default="all")
     p.add_argument("--tau", type=harness.parse_dyadic, action="append", required=True,
                    help="trajectory step; repeat for a sweep")
@@ -86,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True, help="probe report CSV")
     p.set_defaults(func=_cmd_diagnose)
 
-    p = sub.add_parser("fit", help="convergence order from a records CSV")
+    p = sub.add_parser("fit", help="convergence order from a records CSV", allow_abbrev=False)
     p.add_argument("--records", type=Path, required=True)
     p.add_argument("--s", type=float, default=None, help="select one smoothness value")
     p.set_defaults(func=_cmd_fit)
@@ -127,8 +133,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_reference(args: argparse.Namespace) -> int:
     u0 = snapshot.load_field(args.datum_in)
-    field, path = harness.compute_reference(u0, args.tau_ref, args.T, args.mu, args.cache)
-    print(f"reference cached at {path} (l2={l2_norm(field):.6g})")
+    ref, path = harness.compute_reference(u0, args.tau_ref, args.T, args.mu, cache_dir=args.cache)
+    print(f"reference cached at {path} (l2={l2_norm(ref):.6g})")
     return EXIT_OK
 
 
@@ -153,16 +159,12 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     estimates = bourgain.ESTIMATE_IDS if args.estimate == "all" else (args.estimate,)
     ensemble = bourgain.probe_ensemble(args.trajectories, args.tau, args.grid, args.window,
                                        seed0=args.seed)
-    results = []
-    # one seed-major pass; the report is estimate-major, then by tau
     exponents = {k: v for k, v in vars(args).items() if k in ("s", "b")}
-    for estimate in bourgain.estimate_probe(ensemble, estimates, **exponents):
-        for tau in args.tau:
-            result = bourgain.ProbeResult(
-                estimate.estimate_id, tuple(r for r in estimate.rows if r.tau == tau))
-            results.append(result)
-            print(f"{result.estimate_id} tau={tau:g}: max_ratio={result.max_ratio:.6g} "
-                  f"over {len(result.rows)} trajectories")
+    results = bourgain.estimate_probe(ensemble, estimates, **exponents)
+    for result in results:
+        skipped = f", {result.skipped} skipped" if result.skipped else ""
+        print(f"{result.estimate_id} tau={result.tau:g}: max_ratio={result.max_ratio:.6g} "
+              f"over {len(result.rows)} trajectories{skipped}")
     bourgain.write_probe_report(results, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK

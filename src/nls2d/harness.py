@@ -229,13 +229,8 @@ def reference_cache_path(cache_dir: str | Path, key: str) -> Path:
     return Path(cache_dir) / f"ref_{digest[:32]}.entry"
 
 
-def compute_reference(
-    u0: np.ndarray,
-    tau_ref: float,
-    t_final: float,
-    mu: int = -1,
-    cache_dir: str | Path | None = None,
-) -> tuple[np.ndarray, Path | None]:
+def compute_reference(u0: np.ndarray, tau_ref: float, t_final: float, mu: int = -1, *,
+                      cache_dir: str | Path) -> tuple[np.ndarray, Path]:
     """Reference solution of the (K, K) datum ``u0`` on its own lattice, cached on disk.
 
     The reference runs the same integrator with the filter held at the
@@ -245,27 +240,24 @@ def compute_reference(
     lattice size, step, horizon, sign and integrator version; corrupt or
     mismatched ones are recomputed with a warning.
 
-    Returns the reference and its cache path (None without ``cache_dir``).
+    Returns the reference and its cache path.
     Raises :class:`~nls2d.splitting.BlowupError`, caching nothing, if the
     solve's state becomes non-finite.
     """
     key = _reference_key(u0, tau_ref, t_final, mu)
-    path = None
-    if cache_dir is not None:
-        path = reference_cache_path(cache_dir, key)
-        try:
-            return snapshot.load_field(path, key), path
-        except FileNotFoundError:
-            pass  # a miss
-        except (OSError, ValueError) as exc:
-            logger.warning("reference cache unusable (%s); recomputing", exc)
+    path = reference_cache_path(cache_dir, key)
+    try:
+        return snapshot.load_field(path, key), path
+    except FileNotFoundError:
+        pass  # a miss
+    except (OSError, ValueError) as exc:
+        logger.warning("reference cache unusable (%s); recomputing", exc)
     n = u0.shape[-1]
     final, blowup = evolve(u0, SchemeParams(tau_ref, mu, t_final, theta=4.0 / (n * n)))
     if blowup >= 0:
         raise BlowupError(int(blowup))
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        snapshot.save_field(final, path, key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    snapshot.save_field(final, path, key)
     return final, path
 
 
@@ -357,7 +349,7 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         ref_futures = {
             pair: pool.submit(compute_reference, data[pair], cfg.tau_reference, cfg.t_final,
-                              cfg.mu, cfg.resolved_cache_dir)
+                              cfg.mu, cache_dir=cfg.resolved_cache_dir)
             for pair in needed_pairs
         }
         refs = {key: fut.result()[0] for key, fut in ref_futures.items()}

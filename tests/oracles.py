@@ -242,7 +242,7 @@ def snapshot_probe_rows(trajectories, estimate_id: str, s: float = 1.0, b: float
         else:
             lhs = snapshot_l4(snapshot_project(tr, tr.tau))
             rhs = bourgain_norm(tr, s / 2.0, 1.0 - b)
-        rows.append(ProbeRow(estimate_id, tr.tau, seed, lhs, rhs, lhs / rhs))
+        rows.append(ProbeRow(seed, lhs, rhs, lhs / rhs))
     return tuple(rows)
 
 

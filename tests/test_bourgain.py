@@ -258,6 +258,19 @@ class TestProbes:
         with pytest.raises(ValueError, match="no usable"):
             res.max_ratio
 
+    def test_results_per_estimate_and_tau(self):
+        """One result per (estimate, tau), estimate-major and tau in first-seen
+        order, each counting its own skipped zero trajectories."""
+        tau1, tau2 = 0.25, 0.125
+        zero = Trajectory(tau1, np.zeros((2, 8, 8), dtype=np.complex128))
+        wave = plane_wave(8, 0.3, (1, 1))[None]
+        trs = [(0, zero), (1, Trajectory(tau1, wave)), (2, Trajectory(tau2, wave))]
+        results = estimate_probe(trs, ESTIMATE_IDS)
+        assert [(r.estimate_id, r.tau) for r in results] == [
+            (estimate_id, tau) for estimate_id in ESTIMATE_IDS for tau in (tau1, tau2)]
+        assert [r.skipped for r in results] == [1, 0, 1, 0]
+        assert [[row.seed for row in r.rows] for r in results] == [[1], [2], [1], [2]]
+
     def test_single_snapshot_trajectory_included(self):
         tr = Trajectory(0.25, plane_wave(8, 0.3, (1, 1))[None])
         for estimate_id in ESTIMATE_IDS:
@@ -370,8 +383,9 @@ class TestStackMatchesSnapshots:
                 truncated = np.count_nonzero(filtered.coeffs) < filtered.coeffs.size
                 assert truncated == (tau**-0.5 < n / 2)  # the filter bites at tau = 2^-4
             for estimate_id in ESTIMATE_IDS:
-                rows = estimate_probe(stacked, (estimate_id,))[0].rows
-                assert rows == snapshot_probe_rows(fields, estimate_id)
+                res, = estimate_probe(stacked, (estimate_id,))
+                assert (res.estimate_id, res.tau) == (estimate_id, tau)
+                assert res.rows == snapshot_probe_rows(fields, estimate_id)
 
 
 if __name__ == "__main__":

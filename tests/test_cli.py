@@ -26,10 +26,8 @@ PROBES_100_SHA256 = "38b86856f084888e285133c750c2a3572f1a3d49499d60a95b1e0e570cc
 
 
 def assert_refused(err: str, flag: str, value: str) -> None:
-    """argparse named ``flag`` as unknown (or, for ``--s`` on run, as a prefix of two options)."""
-    last = err.splitlines()[-1]
-    assert (f"error: unrecognized arguments: {flag} {value}" in last
-            or f"error: ambiguous option: {flag} could match" in last), err
+    """argparse named ``flag`` as unknown: options are never read as prefixes of others."""
+    assert f"error: unrecognized arguments: {flag} {value}" in err.splitlines()[-1], err
 
 
 class TestGenerate:
@@ -170,7 +168,10 @@ class TestReference:
         key = harness._reference_key(wave, 2.0**-8, 0.25, 1)
         entry = harness.reference_cache_path(cache, key)
         assert sorted(cache.iterdir()) == [entry]
-        want, _ = harness.compute_reference(wave, 2.0**-8, 0.25, 1)
+        # solved afresh in another directory, not read back from the CLI's entry
+        want, path = harness.compute_reference(wave, 2.0**-8, 0.25, 1,
+                                               cache_dir=tmp_path / "direct")
+        assert path.name == entry.name
         assert load_field(entry, key=key).view(np.uint64).tobytes() == \
             want.view(np.uint64).tobytes()
 
@@ -296,6 +297,27 @@ class TestDiagnose:
             "strichartz_l4 tau=0.00390625: max_ratio=0.278814 over 6 trajectories",
         ]
 
+    def test_reports_skipped_trajectories(self, tmp_path, capsys, monkeypatch):
+        """A zero trajectory writes no row; its (estimate, tau) lines count it."""
+        real = bourgain.probe_ensemble
+
+        def with_zero(count, taus, n_modes, window, seed0=0):
+            yield from real(count, taus, n_modes, window, seed0)
+            yield 99, bourgain.Trajectory(taus[0], np.zeros((window, n_modes, n_modes), complex))
+
+        monkeypatch.setattr(bourgain, "probe_ensemble", with_zero)
+        out = tmp_path / "probes.csv"
+        code = main(["diagnose", "--tau", "2^-4", "--tau", "2^-8", "--trajectories", "6",
+                     "--window", "8", "--grid", "8", "--seed", "3", "--out", str(out)])
+        assert code == EXIT_OK
+        assert out.read_bytes() == PROBES_GOLDEN.read_bytes()
+        assert capsys.readouterr().out.splitlines()[:-1] == [
+            "embedding_inf_Hs tau=0.0625: max_ratio=0.653025 over 6 trajectories, 1 skipped",
+            "embedding_inf_Hs tau=0.00390625: max_ratio=0.86493 over 6 trajectories",
+            "strichartz_l4 tau=0.0625: max_ratio=0.251771 over 6 trajectories, 1 skipped",
+            "strichartz_l4 tau=0.00390625: max_ratio=0.278814 over 6 trajectories",
+        ]
+
     def test_benchmark_scale_report_digest(self, tmp_path):
         """The benchmark's sweep (3 steps, 100 trajectories) writes the same bytes."""
         out = tmp_path / "probes.csv"
@@ -334,6 +356,12 @@ class TestDiagnose:
                                       ["--tau", "2^-4", "--window", window],
                                       f"window must be >= 1, got {window}")
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_empty_ensemble_exits_2_before_any_draw(self, tmp_path, capsys, monkeypatch, count):
+        self._refused_before_any_draw(tmp_path, capsys, monkeypatch,
+                                      ["--tau", "2^-4", "--trajectories", count],
+                                      f"count must be >= 1, got {count}")
+
     @staticmethod
     def _refused_before_any_draw(tmp_path, capsys, monkeypatch, argv, message):
         def no_draw(*args, **kwargs):
@@ -343,7 +371,7 @@ class TestDiagnose:
         monkeypatch.setattr(bourgain, "generate_stack", no_draw)
         monkeypatch.setattr(bourgain, "free_phase", no_draw)
         out = tmp_path / "probes.csv"
-        code = main(["diagnose", *argv, "--trajectories", "4", "--out", str(out)])
+        code = main(["diagnose", "--trajectories", "4", *argv, "--out", str(out)])
         assert code == EXIT_INVALID
         assert message in capsys.readouterr().err
         assert not out.exists()
@@ -392,6 +420,32 @@ class TestFit:
 
     def test_missing_records_exits_4(self, tmp_path):
         assert main(["fit", "--records", str(tmp_path / "absent.csv")]) == EXIT_IO
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--s", "1.0", "--seed", "7", "--grid", "8", "--out", "{d}/o.nls2",
+     "--targ", "5"],
+    ["run", "--in", "{d}/datum.nls2", "--tau", "2^-4", "--T", "0.25", "--out", "{d}/o.nls2",
+     "--snap", "{d}/traj"],
+    ["reference", "--in", "{d}/datum.nls2", "--tau", "2^-6", "--T", "0.25",
+     "--cache", "{d}/cache"],
+    ["converge", "--conf", "{d}/study.cfg"],
+    ["diagnose", "--tau", "2^-4", "--traj", "3", "--out", "{d}/probes.csv"],
+    ["fit", "--rec", "{d}/records.csv"],
+], ids=lambda argv: argv[0])
+def test_abbreviated_option_exits_2(tmp_path, capsys, argv):
+    """Options are spelled in full: a prefix of one is refused and nothing is written."""
+    save_field(plane_wave(8, 0.1, (1, 0)), tmp_path / "datum.nls2")
+    (tmp_path / "study.cfg").write_text(
+        TestConverge.CONFIG.format(out=tmp_path / "out", cache=tmp_path / "cache"))
+    (tmp_path / "records.csv").write_text(
+        "s,tau,N,theta,seed,l2_error,wall_time\n1.0,0.25,8,0.25,1,0.5,0.0\n")
+    before = sorted(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(d=tmp_path) for arg in argv])
+    assert exc.value.code == EXIT_INVALID
+    assert "error:" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_console_entry_smoke(tmp_path):

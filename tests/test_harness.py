@@ -184,10 +184,10 @@ class TestErrorMeasure:
 class TestReference:
     DATUM = generate(RoughDataSpec(s=1.0, seed=3, n_modes=16))
 
-    def test_plane_wave_datum_override(self):
+    def test_plane_wave_datum_override(self, tmp_path):
         """With a plane-wave datum the reference matches the closed form."""
         datum = plane_wave(16, 0.1, (1, 2))
-        got, _ = compute_reference(datum, 2.0**-6, 0.25, mu=-1)
+        got, _ = compute_reference(datum, 2.0**-6, 0.25, mu=-1, cache_dir=tmp_path)
         want = plane_wave_solution(0.1, (1, 2), -1, 0.25)
         err = np.abs(got - plane_wave(16, want, (1, 2))).max()
         assert err <= 1e-10
@@ -275,8 +275,8 @@ class TestReference:
         a coarse experiment's error (the reference stands in for the exact
         solution)."""
         datum = generate(RoughDataSpec(s=2.0, seed=1, n_modes=32))
-        ref_a, _ = compute_reference(datum, 2.0**-10, 0.125)
-        ref_b, _ = compute_reference(datum, 2.0**-11, 0.125)
+        ref_a, _ = compute_reference(datum, 2.0**-10, 0.125, cache_dir=tmp_path)
+        ref_b, _ = compute_reference(datum, 2.0**-11, 0.125, cache_dir=tmp_path)
         drift = l2_error(ref_a, ref_b)
 
         n = grid_for_tau(2.0**-6)
@@ -285,7 +285,7 @@ class TestReference:
         coarse_err = l2_error(final, ref_a)
         assert drift < coarse_err / 10.0
 
-    def test_matched_resolution_run_has_zero_error(self):
+    def test_matched_resolution_run_has_zero_error(self, tmp_path):
         """A run whose lattice, step and filter equal the reference's
         reproduces it exactly."""
         datum = generate(RoughDataSpec(s=1.0, seed=7, n_modes=16))
@@ -293,7 +293,7 @@ class TestReference:
         assert grid_for_tau(tau) == 16
         theta = default_theta(tau, 16)
         assert theta == 4.0 / 16**2 == tau
-        ref, _ = compute_reference(datum, tau, 0.25)
+        ref, _ = compute_reference(datum, tau, 0.25, cache_dir=tmp_path)
         final = evolve_field(datum, SchemeParams(tau=tau, mu=-1, t_final=0.25))
         assert l2_error(final, ref) == 0.0
 
@@ -368,11 +368,13 @@ class TestSharedCache:
         # a hit writes nothing: the entry keeps its inode and its mtime
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
-    def test_old_two_file_entry_is_a_silent_miss(self, tmp_path, monkeypatch, caplog):
+    def test_old_two_file_entry_is_a_silent_miss(self, tmp_path, tmp_path_factory, monkeypatch,
+                                                 caplog):
         """A ``ref_*.nls2`` payload with its ``ref_*.json`` key file is ignored, not warned about."""
         datum = TestReference.DATUM
         key = harness._reference_key(datum, 2.0**-6, 0.25, -1)
-        want, _ = compute_reference(datum, 2.0**-6, 0.25)
+        want, _ = compute_reference(datum, 2.0**-6, 0.25,
+                                    cache_dir=tmp_path_factory.mktemp("want"))
         old = reference_cache_path(tmp_path, key).with_suffix(".nls2")
         snapshot.save_field(want, old)
         meta = {"key": key, "payload_sha256": hashlib.sha256(old.read_bytes()).hexdigest()}
@@ -590,7 +592,7 @@ class TestRunStudy:
         for rec in records:
             datum = generate(cfg.datum_spec(rec.s, rec.seed))
             ref, _ = compute_reference(datum, cfg.tau_reference, cfg.t_final, cfg.mu,
-                                       cfg.resolved_cache_dir)
+                                       cache_dir=cfg.resolved_cache_dir)
             u0 = restrict(project(datum, rec.theta), rec.n_modes)
             final = evolve_field(u0, SchemeParams(rec.tau, cfg.mu, cfg.t_final))
             assert rec.l2_error == embedded_l2_error(final, ref)
@@ -604,7 +606,7 @@ class TestRunStudy:
         real = harness.generate
         monkeypatch.setattr(harness, "generate", lambda spec: (
             plane_wave(spec.n_modes, 1e200, (0, 0)) if spec.seed == 2 else real(spec)))
-        monkeypatch.setattr(harness, "compute_reference", lambda u0, *a: (u0, None))
+        monkeypatch.setattr(harness, "compute_reference", lambda u0, *a, cache_dir: (u0, cache_dir))
         with caplog.at_level(logging.WARNING, logger="nls2d.harness"):
             records = run_study(cfg)
         assert [r.failed for r in records] == [False, True] * 3
